@@ -54,6 +54,8 @@ FLOAT_FMT = "%.17g"
 
 def _thread_count(args) -> int:
     if args.threads is not None:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         return args.threads
     env = os.environ.get("EIGENSCORE_THREADS")
     if env is not None:

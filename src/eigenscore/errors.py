@@ -18,7 +18,14 @@ class NonFiniteError(EigenscoreError):
 
 
 class RankDeficientError(EigenscoreError):
-    """Columns became numerically dependent during orthonormalization."""
+    """Columns became numerically dependent during orthonormalization.
+
+    `indices` lists the deficient matrices when a stack was factored.
+    """
+
+    def __init__(self, message: str = "", indices=()):
+        super().__init__(message)
+        self.indices = tuple(indices)
 
 
 class BadRangeError(EigenscoreError):

@@ -53,16 +53,14 @@ def auroc(ind_scores, ood_scores) -> RocResult:
     area = u / (n_i * n_o)
 
     thresholds = np.unique(np.concatenate([ind, ood]))[::-1]
-    fpr = [0.0]
-    tpr = [0.0]
-    for th in thresholds:
-        fpr.append(np.count_nonzero(ind >= th) / n_i)
-        tpr.append(np.count_nonzero(ood >= th) / n_o)
+    # scores >= th: everything from th's leftmost insertion point on
+    fpr = (n_i - np.searchsorted(np.sort(ind), thresholds, side="left")) / n_i
+    tpr = (n_o - np.searchsorted(np.sort(ood), thresholds, side="left")) / n_o
     return RocResult(
         auroc=float(area),
         thresholds=thresholds,
-        fpr=np.array(fpr),
-        tpr=np.array(tpr),
+        fpr=np.concatenate([[0.0], fpr]),
+        tpr=np.concatenate([[0.0], tpr]),
         n_ind=n_i,
         n_ood=n_o,
     )

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     BadRangeError,
@@ -29,6 +28,32 @@ from .linalg import sym_eig
 from .rng import RngStream
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) along one axis, bit-identical to scipy.special.logsumexp.
+
+    Same arithmetic as scipy's: the maxima are taken out of the sum and
+    counted, the rest is shifted by the maximum, and the result is
+    log1p(s / m) + log(m) + max.  Entries that come out non-finite (all
+    -inf, any +inf or NaN) fall back to log(sum(exp(a))), as in scipy.
+    Skipping scipy's array-API dispatch makes it several times faster on
+    the small arrays a denoiser call reduces.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        at_max = a == a_max
+        m = np.sum(at_max, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            out = np.where(bad, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
+    if not keepdims:
+        out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

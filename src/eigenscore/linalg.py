@@ -28,38 +28,51 @@ def _check_finite(a: np.ndarray, name: str) -> None:
 def qr_orthonormalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR with columns flipped so diag(R) >= 0.
 
+    A stack of matrices is factored in one call; each matrix gets exactly
+    the factors it would get on its own.
+
     Parameters
     ----------
-    mat : ndarray, shape (n, k), k <= n
+    mat : ndarray, shape (..., n, k), k <= n
 
     Returns
     -------
-    q : ndarray, shape (n, k)
+    q : ndarray, shape (..., n, k)
         Orthonormal columns spanning the input columns.
-    r : ndarray, shape (k, k)
+    r : ndarray, shape (..., k, k)
         Upper triangular, non-negative diagonal.
 
     Raises
     ------
     RankDeficientError
         If any R diagonal magnitude is below 1e-10, i.e. a column is
-        numerically dependent on the ones before it.
+        numerically dependent on the ones before it.  For a stack, the
+        error's `indices` name the deficient matrices as flat positions
+        over the leading axes.
     """
     a = np.asarray(mat, dtype=float)
-    if a.ndim != 2:
-        raise DimMismatchError(f"expected a 2-d array, got ndim={a.ndim}")
-    n, k = a.shape
+    if a.ndim < 2:
+        raise DimMismatchError(f"expected an array of ndim >= 2, got ndim={a.ndim}")
+    n, k = a.shape[-2:]
     if k > n:
         raise DimMismatchError(f"need k <= n, got shape {a.shape}")
     _check_finite(a, "matrix")
     q, r = np.linalg.qr(a, mode="reduced")
-    diag = np.diagonal(r)
-    if np.min(np.abs(diag)) < RANK_TOL:
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    smallest = np.min(np.abs(diag), axis=-1)
+    if np.any(smallest < RANK_TOL):
+        if a.ndim == 2:
+            raise RankDeficientError(
+                f"column residual {smallest:.3e} below {RANK_TOL:.0e}"
+            )
+        bad = np.flatnonzero(smallest < RANK_TOL)
         raise RankDeficientError(
-            f"column residual {np.min(np.abs(diag)):.3e} below {RANK_TOL:.0e}"
+            f"matrices {bad.tolist()}: column residual "
+            f"{np.min(smallest):.3e} below {RANK_TOL:.0e}",
+            indices=bad.tolist(),
         )
     flip = np.where(diag < 0.0, -1.0, 1.0)
-    return q * flip, r * flip[:, None]
+    return q * flip[..., None, :], r * flip[..., :, None]
 
 
 def sym_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

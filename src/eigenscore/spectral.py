@@ -84,6 +84,10 @@ def _as_denoise_fn(denoiser):
 
 
 def _eval_batch(fn, points: np.ndarray, sigma: float) -> np.ndarray:
+    # One memory layout for every call: the denoisers' einsum and matmul
+    # kernels round differently for C- and Fortran-ordered input, so the
+    # one-row and the stacked paths must hand over the same layout.
+    points = np.asfortranarray(points)
     out = np.asarray(fn(points, sigma), dtype=float)
     if out.shape != points.shape:
         # Fall back for denoisers that only accept single points.
@@ -235,6 +239,32 @@ def subspace_iteration(
     )
 
 
+def _jvp_stack(fn, x_ts: np.ndarray, sigma: float, cols: np.ndarray, c: float) -> np.ndarray:
+    """`_jvp_block` for a stack of rows in one evaluation.
+
+    x_ts is (n, d) and cols (n, d, k); returns the (n, d, k) products.
+    Every row's points and products match what `_jvp_block` builds for
+    that row alone, and so does each row's memory layout: numpy sums a
+    contiguous axis pairwise and a strided one in sequence, so the norms
+    taken later round alike only if the layouts agree.
+    """
+    n, d, k = cols.shape
+    step = c * np.swapaxes(cols, 1, 2)
+    x = x_ts[:, None, :]
+    pts = np.concatenate([x + step, x - step], axis=1).reshape(n * 2 * k, d)
+    out = _eval_batch(fn, pts, sigma)
+    # `_jvp_block` subtracts (k, d) halves of a (2k, d) output; numpy keeps
+    # the halves' memory order, which for k > 1 follows the output's
+    if k > 1 and abs(out.strides[0]) < abs(out.strides[1]):
+        products = np.empty((n, d, k))
+    else:
+        products = np.empty((n, k, d)).transpose(0, 2, 1)
+    halves = np.swapaxes(out.reshape(n, 2 * k, d), 1, 2)
+    np.subtract(halves[:, :, :k], halves[:, :, k:], out=products)
+    products /= 2.0 * c
+    return products
+
+
 def subspace_iteration_batch(
     denoiser,
     x_ts: np.ndarray,
@@ -242,14 +272,22 @@ def subspace_iteration_batch(
     config: SpectralConfig,
     rngs: list,
 ) -> list:
-    """Run independent subspace iterations with shared denoiser calls.
+    """Run independent subspace iterations as one stacked computation.
 
-    Row r iterates at x_ts[r] with starting directions from rngs[r]; all
-    active rows' finite-difference points go into one denoiser evaluation
-    per sweep.  Because the denoisers here act on each input row
-    independently, every row reproduces exactly what `subspace_iteration`
-    would return for it alone; batching only cuts call overhead, which is
-    what dominates at small dimension.
+    Row r iterates at x_ts[r] with starting directions from rngs[r].  The
+    active rows' directions are held as one (rows, d, k) stack, and each
+    sweep is a fixed set of whole-stack operations: one denoiser call on
+    every active row's finite-difference points, one stacked QR, and
+    array-wide norms, residuals, sorts and early-stop tests.  Rows that
+    stop leave the stack; all survivors share one final eigenvalue pass.
+
+    Contract: a row's result is bit-identical to what `subspace_iteration`
+    returns for it alone, whatever other rows share its batch and whatever
+    thread count runs it.  This holds for any denoiser whose output for a
+    row does not depend, bit for bit, on the other rows of the call, such
+    as `GaussianMixture`.  A BLAS-backed network like `MlpDenoiser` can
+    round a row differently with the row count; its rows then agree with
+    the one-row path to rounding only, but still never depend on threads.
 
     Returns a list aligned with rngs whose entries are SpectralResult, or
     the RankDeficientError a row's orthonormalization raised so the caller
@@ -268,97 +306,100 @@ def subspace_iteration_batch(
     c = config.fd_rel * sigma
     _check_fd_step(c, sigma)
     s2 = sigma * sigma
+    check_stop = config.early_stop_tol > 0.0
 
-    cols = [
-        np.stack([gaussian_vec(rng.child(j), d, sigma) for j in range(k)], axis=1)
-        for rng in rngs
-    ]
-    prev = [None] * n_rows
-    history: list[list[float]] = [[] for _ in range(n_rows)]
-    n_evals = [0] * n_rows
-    performed = [0] * n_rows
+    final_cols = np.stack(
+        [
+            np.stack([gaussian_vec(rng.child(j), d, sigma) for j in range(k)], axis=1)
+            for rng in rngs
+        ]
+    )
+    history = np.empty((config.n_iters, n_rows))
+    performed = np.zeros(n_rows, dtype=int)
     outcome: list = [None] * n_rows
-    active = list(range(n_rows))
 
-    while active:
-        pts = np.concatenate(
-            [
-                np.concatenate([x_ts[r] + c * cols[r].T, x_ts[r] - c * cols[r].T])
-                for r in active
-            ]
+    # the active rows: their original indices, points and current directions
+    act = np.arange(n_rows)
+    xa = x_ts
+    cols = final_cols
+    prev = None
+    for sweep in range(config.n_iters):
+        products = _jvp_stack(fn, xa, sigma, cols, c)
+        norms_in = np.linalg.norm(cols, axis=1)[:, None, :]
+        lam = s2 * np.linalg.norm(products, axis=1) / norms_in[:, 0]
+        top = np.maximum(np.max(lam, axis=1), 1e-300)
+        resid = (
+            np.linalg.norm(
+                s2 * products / norms_in - lam[:, None, :] * cols / norms_in, axis=1
+            )
+            / top[:, None]
         )
-        out = _eval_batch(fn, pts, sigma)
-        still = []
-        for slot, r in enumerate(active):
-            seg = out[2 * k * slot : 2 * k * (slot + 1)]
-            products = (seg[:k] - seg[k:]).T / (2.0 * c)
-            n_evals[r] += 2 * k
-            performed[r] += 1
-            norms_in = np.linalg.norm(cols[r], axis=0)
-            lam = s2 * np.linalg.norm(products, axis=0) / norms_in
-            top = max(float(np.max(lam)), 1e-300)
-            resid = (
-                np.linalg.norm(
-                    s2 * products / norms_in - lam * cols[r] / norms_in, axis=0
+        history[sweep, act] = np.max(resid, axis=1)
+
+        try:
+            cols, _ = qr_orthonormalize(products)
+        except RankDeficientError as e:
+            # rare: the collapsed rows leave, the rest are factored again
+            for i in e.indices:
+                outcome[act[i]] = RankDeficientError(
+                    f"row {act[i]}, sweep {sweep + 1}: {e}", indices=(act[i],)
                 )
-                / top
+            ok = np.ones(act.size, dtype=bool)
+            ok[list(e.indices)] = False
+            act, xa, lam, top, products = act[ok], xa[ok], lam[ok], top[ok], products[ok]
+            prev = None if prev is None else prev[ok]
+            if act.size == 0:
+                break
+            cols, _ = qr_orthonormalize(products)
+
+        est = np.sort(lam, axis=1)[:, ::-1]
+        if prev is not None and check_stop:
+            done = np.all(
+                np.abs(est - prev)
+                <= config.early_stop_tol * np.maximum(prev, 1e-12 * top[:, None]),
+                axis=1,
             )
-            history[r].append(float(np.max(resid)))
-            try:
-                cols[r], _ = qr_orthonormalize(products)
-            except RankDeficientError as e:
-                outcome[r] = e
-                continue
-            est = np.sort(lam)[::-1]
-            stop = (
-                prev[r] is not None
-                and config.early_stop_tol > 0.0
-                and bool(
-                    np.all(
-                        np.abs(est - prev[r])
-                        <= config.early_stop_tol * np.maximum(prev[r], 1e-12 * top)
-                    )
-                )
-            )
-            prev[r] = est
-            if not stop and performed[r] < config.n_iters:
-                still.append(r)
-        active = still
+        else:
+            done = np.zeros(act.size, dtype=bool)
+        if sweep + 1 == config.n_iters:
+            done[:] = True
+        final_cols[act[done]] = cols[done]
+        performed[act[done]] = sweep + 1
+        keep = ~done
+        act, xa, cols, prev = act[keep], xa[keep], cols[keep], est[keep]
+        if act.size == 0:
+            break
 
     # one shared final pass over every surviving row
-    finals = [r for r in range(n_rows) if outcome[r] is None]
-    if finals:
-        pts = np.concatenate(
-            [
-                np.concatenate([x_ts[r] + c * cols[r].T, x_ts[r] - c * cols[r].T])
-                for r in finals
-            ]
+    fin = np.array([r for r in range(n_rows) if outcome[r] is None], dtype=int)
+    if fin.size == 0:
+        return outcome
+    cols = final_cols[fin]
+    products = _jvp_stack(fn, x_ts[fin], sigma, cols, c)
+    lam_mag = s2 * np.linalg.norm(products, axis=1)
+    sign = np.where(np.einsum("rij,rij->rj", cols, products) < 0.0, -1.0, 1.0)
+    raw = sign * lam_mag
+    top = np.maximum(np.max(lam_mag, axis=1), 1e-300)
+    final_resid = (
+        np.max(np.linalg.norm(s2 * products - raw[:, None, :] * cols, axis=1), axis=1)
+        / top
+    )
+    order = np.argsort(raw, axis=1)[:, ::-1]
+    raw = np.take_along_axis(raw, order, axis=1)
+    vecs = np.take_along_axis(cols, order[:, None, :], axis=2)
+    vals = np.clip(raw, 0.0, None)
+    for i, r in enumerate(fin):
+        n_it = int(performed[r])
+        outcome[r] = SpectralResult(
+            eigenvalues=vals[i],
+            raw_eigenvalues=raw[i],
+            eigenvectors=vecs[i],
+            sigma=float(sigma),
+            residual=float(final_resid[i]),
+            residual_history=history[:n_it, r].tolist() + [float(final_resid[i])],
+            n_iters=n_it,
+            n_evals=2 * k * (n_it + 1),
         )
-        out = _eval_batch(fn, pts, sigma)
-        for slot, r in enumerate(finals):
-            seg = out[2 * k * slot : 2 * k * (slot + 1)]
-            products = (seg[:k] - seg[k:]).T / (2.0 * c)
-            n_evals[r] += 2 * k
-            lam_mag = s2 * np.linalg.norm(products, axis=0)
-            sign = np.where(np.einsum("ij,ij->j", cols[r], products) < 0.0, -1.0, 1.0)
-            raw = sign * lam_mag
-            top = max(float(np.max(lam_mag)), 1e-300)
-            final_resid = float(
-                np.max(np.linalg.norm(s2 * products - raw * cols[r], axis=0)) / top
-            )
-            history[r].append(final_resid)
-            order = np.argsort(raw)[::-1]
-            raw = raw[order]
-            outcome[r] = SpectralResult(
-                eigenvalues=np.clip(raw, 0.0, None),
-                raw_eigenvalues=raw,
-                eigenvectors=cols[r][:, order],
-                sigma=float(sigma),
-                residual=final_resid,
-                residual_history=history[r],
-                n_iters=performed[r],
-                n_evals=n_evals[r],
-            )
     return outcome
 
 

@@ -109,6 +109,20 @@ def test_score_env_threads(cfg_path, tmp_path, monkeypatch):
     ) == 2
 
 
+def test_score_rejects_non_positive_threads(cfg_path, tmp_path, capsys):
+    data, calib, _ = run_flow(cfg_path, tmp_path)
+    out = str(tmp_path / "t.csv")
+    for n in ("0", "-2"):
+        assert main(
+            [
+                "score", "--config", cfg_path, "--calibration", calib, "--data", data,
+                "--out", out, "--threads", n,
+            ]
+        ) == 2
+        assert "--threads must be >= 1" in capsys.readouterr().err
+    assert main(["fit", "--config", cfg_path, "--data", data, "--out", calib, "--threads", "0"]) == 2
+
+
 def test_score_json_and_components(cfg_path, tmp_path):
     data, calib, _ = run_flow(cfg_path, tmp_path)
     out = str(tmp_path / "s.csv")

@@ -54,6 +54,34 @@ def test_curve_area_matches_rank_statistic():
         assert curve_area(res) == pytest.approx(res.auroc, abs=1e-9)
 
 
+def reference_curve(ind, ood):
+    """The threshold sweep as a plain loop over the distinct scores."""
+    ind = np.asarray(ind, dtype=float)
+    ood = np.asarray(ood, dtype=float)
+    thresholds = np.unique(np.concatenate([ind, ood]))[::-1]
+    fpr = [0.0]
+    tpr = [0.0]
+    for th in thresholds:
+        fpr.append(np.count_nonzero(ind >= th) / ind.size)
+        tpr.append(np.count_nonzero(ood >= th) / ood.size)
+    return thresholds, np.array(fpr), np.array(tpr)
+
+
+def test_curve_bit_identical_to_loop_sweep():
+    gen = np.random.default_rng(3)
+    for n_i, n_o, scale in ((1, 1, 1.0), (7, 3, 10.0), (200, 150, 4.0), (500, 700, 1e3)):
+        # rounding forces many ties, within and across the two groups
+        ind = np.round(gen.normal(size=n_i) * scale)
+        ood = np.round(gen.normal(0.5, 1.0, size=n_o) * scale)
+        ood[: n_o // 3] = ind[0]
+        ind = np.concatenate([ind, [-0.0, 0.0]])
+        res = auroc(ind, ood)
+        thresholds, fpr, tpr = reference_curve(ind, ood)
+        for got, want in ((res.thresholds, thresholds), (res.fpr, fpr), (res.tpr, tpr)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_counts_recorded():
     res = auroc([0.0, 1.0, 2.0], [5.0])
     assert res.n_ind == 3 and res.n_ood == 1

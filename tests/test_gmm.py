@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,7 @@ from eigenscore.errors import (
     NotSingleGaussianError,
     SingularCovarianceError,
 )
-from eigenscore.gmm import GaussianMixture, kl_gaussians
+from eigenscore.gmm import GaussianMixture, kl_gaussians, logsumexp
 from eigenscore.rng import RngStream
 
 
@@ -220,3 +221,31 @@ def test_kl_rejects_singular():
     p = GaussianMixture.single([0.0], [[0.0]])
     with pytest.raises(SingularCovarianceError):
         kl_gaussians(p, unit_1d())
+
+
+def test_logsumexp_bit_identical_to_scipy():
+    gen = np.random.default_rng(0)
+    base = gen.standard_normal((5, 9)) * 30.0
+    cases = [
+        base,
+        np.round(base / 30.0),  # ties, several maxima per column
+        np.full((3, 4), 2.5),  # every entry a maximum
+        np.where(gen.random((5, 9)) < 0.4, -np.inf, base),  # -inf entries
+        np.full((4, 3), -np.inf),  # all -inf: the sum is empty
+        base * 1e306,  # large magnitudes: exp(a) alone would overflow
+        np.asfortranarray(base),
+        base.T,  # strided input
+        np.array([[1e308, 1e308], [-1e308, 5.0]]),
+    ]
+    inf_col = base.copy()
+    inf_col[2, 3] = np.inf
+    cases.append(inf_col)
+    for a in cases:
+        for axis in (0, 1):
+            for keepdims in (False, True):
+                with np.errstate(over="ignore"):  # scipy's own a - max(a)
+                    want = scipy.special.logsumexp(a, axis=axis, keepdims=keepdims)
+                got = logsumexp(a, axis=axis, keepdims=keepdims)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+    assert logsumexp(np.array([1.0, 2.0]), axis=0) == scipy.special.logsumexp([1.0, 2.0])

@@ -47,6 +47,31 @@ def test_qr_near_dependent_raises():
         qr_orthonormalize(a)
 
 
+def test_qr_stack_matches_per_matrix_bitwise():
+    gen = np.random.default_rng(2)
+    for shape in ((7, 5, 3), (4, 16, 8), (3, 9, 1), (2, 3, 6, 4)):
+        stack = gen.standard_normal(shape)
+        q, r = qr_orthonormalize(stack)
+        assert q.shape == shape and r.shape == shape[:-2] + (shape[-1], shape[-1])
+        for idx in np.ndindex(*shape[:-2]):
+            q1, r1 = qr_orthonormalize(stack[idx])
+            assert np.array_equal(q[idx], q1) and np.array_equal(r[idx], r1)
+
+
+def test_qr_stack_reports_deficient_indices():
+    stack = np.random.default_rng(3).standard_normal((6, 5, 2))
+    stack[1] = 1.0  # two equal columns
+    stack[4, :, 1] = 0.0  # a zero column
+    with pytest.raises(RankDeficientError) as info:
+        qr_orthonormalize(stack)
+    assert info.value.indices == (1, 4)
+    assert "[1, 4]" in str(info.value)
+    # a single matrix names none
+    with pytest.raises(RankDeficientError) as info:
+        qr_orthonormalize(stack[1])
+    assert info.value.indices == ()
+
+
 def test_qr_wide_matrix_rejected():
     with pytest.raises(DimMismatchError):
         qr_orthonormalize(np.ones((2, 3)))
@@ -55,6 +80,8 @@ def test_qr_wide_matrix_rejected():
 def test_qr_rejects_non_finite():
     with pytest.raises(NonFiniteError):
         qr_orthonormalize(np.array([[np.nan], [1.0]]))
+    with pytest.raises(DimMismatchError):
+        qr_orthonormalize(np.ones(3))
 
 
 @settings(max_examples=30, deadline=None)

@@ -164,6 +164,24 @@ def test_subspace_propagates_non_finite_denoiser():
         )
 
 
+def random_mixture(d, m, seed):
+    gen = np.random.default_rng(seed)
+    covs = []
+    for _ in range(m):
+        a = gen.standard_normal((d, d)) / np.sqrt(d)
+        covs.append(a @ a.T + 0.05 * np.eye(d))
+    return GaussianMixture(np.full(m, 1.0 / m), gen.standard_normal((m, d)), covs)
+
+
+def assert_same_result(got, want):
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.raw_eigenvalues, want.raw_eigenvalues)
+    assert np.array_equal(got.eigenvectors, want.eigenvectors)
+    assert got.residual_history == want.residual_history
+    assert got.n_iters == want.n_iters
+    assert got.n_evals == want.n_evals
+
+
 def test_batch_matches_sequential_bitwise():
     g = GaussianMixture(
         [0.4, 0.6], [[-1.0, 0.5], [1.0, -0.5]], [np.eye(2) * 0.7, np.eye(2) * 1.3]
@@ -174,34 +192,89 @@ def test_batch_matches_sequential_bitwise():
         rngs = [RngStream(11, (r,)) for r in range(3)]
         batch = subspace_iteration_batch(g, x_ts, 0.9, cfg, rngs)
         for r in range(3):
-            ref = subspace_iteration(g, x_ts[r], 0.9, cfg, rng=rngs[r])
-            assert np.array_equal(batch[r].eigenvalues, ref.eigenvalues)
-            assert np.array_equal(batch[r].eigenvectors, ref.eigenvectors)
-            assert batch[r].n_iters == ref.n_iters
-            assert batch[r].n_evals == ref.n_evals
+            assert_same_result(batch[r], subspace_iteration(g, x_ts[r], 0.9, cfg, rng=rngs[r]))
+
+
+@pytest.mark.parametrize(
+    "d, top_k, model",
+    [(16, 4, "mixture"), (24, 5, "mixture"), (33, 8, "mixture"), (40, 1, "mixture"), (33, 4, "matmul")],
+)
+def test_batch_matches_sequential_bitwise_high_dim(d, top_k, model):
+    # at d >= 16 numpy sums contiguous axes pairwise and strided ones in
+    # sequence, so this only holds if every row keeps the one-row layouts;
+    # the mixture returns Fortran-ordered rows, a matmul C-ordered ones
+    if model == "mixture":
+        g = random_mixture(d, 3, seed=d)
+    else:
+        a = np.random.default_rng(d).standard_normal((d, d))
+        g = LinearDenoiser(0.5 * (a + a.T))
+    gen = np.random.default_rng(d)
+    x_ts = gen.standard_normal((12, d))
+    rngs = [RngStream(5, (d, r)) for r in range(12)]
+    cfg = SpectralConfig(top_k=top_k, n_iters=15, early_stop_tol=1e-2)
+    batch = subspace_iteration_batch(g, x_ts, 0.8, cfg, rngs)
+    for r in range(12):
+        assert_same_result(batch[r], subspace_iteration(g, x_ts[r], 0.8, cfg, rng=rngs[r]))
+    if model == "mixture" and top_k > 1:
+        # rows leave the stack at different sweeps
+        assert len({res.n_iters for res in batch}) > 1
+
+
+def test_batch_row_independent_of_batch_mates():
+    g = random_mixture(20, 4, seed=1)
+    x_ts = np.random.default_rng(2).standard_normal((20, 20))
+    rngs = [RngStream(9, (r,)) for r in range(20)]
+    cfg = SpectralConfig(top_k=4, n_iters=15, early_stop_tol=1e-4)
+    batch = subspace_iteration_batch(g, x_ts, 1.1, cfg, rngs)
+    for r in (0, 9, 19):
+        alone = subspace_iteration_batch(g, x_ts[r : r + 1], 1.1, cfg, [rngs[r]])
+        assert_same_result(batch[r], alone[0])
+    # and in a reordered, smaller batch
+    pick = [19, 3, 9]
+    mixed = subspace_iteration_batch(g, x_ts[pick], 1.1, cfg, [rngs[r] for r in pick])
+    for res, r in zip(mixed, pick):
+        assert_same_result(res, batch[r])
+
+
+class MostlyFine:
+    """A standard-normal prior whose denoiser collapses near (9, ..., 9)."""
+
+    def __init__(self, d=2):
+        self.inner = GaussianMixture.single(np.zeros(d), np.eye(d))
+
+    def denoise(self, x, sigma):
+        pts = np.atleast_2d(np.asarray(x, dtype=float))
+        out = self.inner.denoise(pts, sigma)
+        # the Jacobian is rank zero around points near (9, ..., 9)
+        bad = np.all(np.abs(pts - 9.0) < 1.0, axis=1)
+        out[bad] = 0.0
+        return out[0] if np.asarray(x).ndim == 1 else out
 
 
 def test_batch_reports_rank_deficiency_per_row():
-    class MostlyFine:
-        def __init__(self):
-            self.inner = GaussianMixture.single(np.zeros(2), np.eye(2))
+    # the middle row collapses on its first sweep; the rows around it keep
+    # iterating to the end and still match their one-row results
+    cfg = SpectralConfig(top_k=3, n_iters=8, early_stop_tol=0.0)
+    x_ts = np.zeros((5, 4))
+    x_ts[2] = 9.0
+    x_ts[[0, 1, 3, 4]] += np.random.default_rng(4).standard_normal((4, 4))
+    rngs = [RngStream(2, (r,)) for r in range(5)]
+    out = subspace_iteration_batch(MostlyFine(4), x_ts, 0.5, cfg, rngs)
+    assert isinstance(out[2], RankDeficientError)
+    assert out[2].indices == (2,)
+    with pytest.raises(RankDeficientError):
+        subspace_iteration(MostlyFine(4), x_ts[2], 0.5, cfg, rng=rngs[2])
+    for r in (0, 1, 3, 4):
+        assert out[r].n_iters == 8
+        assert_same_result(out[r], subspace_iteration(MostlyFine(4), x_ts[r], 0.5, cfg, rng=rngs[r]))
 
-        def denoise(self, x, sigma):
-            pts = np.atleast_2d(np.asarray(x, dtype=float))
-            out = self.inner.denoise(pts, sigma)
-            # collapse the Jacobian to rank zero around points near (9, 9)
-            bad = np.all(np.abs(pts - 9.0) < 1.0, axis=1)
-            out[bad] = 0.0
-            return out[0] if np.asarray(x).ndim == 1 else out
 
+def test_batch_all_rows_rank_deficient():
     cfg = SpectralConfig(top_k=2, n_iters=5, early_stop_tol=0.0)
-    x_ts = np.array([[0.0, 0.0], [9.0, 9.0]])
-    rngs = [RngStream(0, (r,)) for r in range(2)]
-    out = subspace_iteration_batch(MostlyFine(), x_ts, 0.5, cfg, rngs)
-    assert not isinstance(out[0], RankDeficientError)
-    assert isinstance(out[1], RankDeficientError)
-    ref = subspace_iteration(MostlyFine(), x_ts[0], 0.5, cfg, rng=rngs[0])
-    assert np.array_equal(out[0].eigenvalues, ref.eigenvalues)
+    out = subspace_iteration_batch(
+        MostlyFine(), np.full((3, 2), 9.0), 0.5, cfg, [RngStream(1, (r,)) for r in range(3)]
+    )
+    assert all(isinstance(o, RankDeficientError) for o in out)
 
 
 def test_exact_spectrum_matches_analytic():
