@@ -178,36 +178,21 @@ def schedule_from_config(cfg: dict) -> NoiseSchedule:
 
 
 def feature_config_from_config(cfg: dict, schedule: NoiseSchedule) -> FeatureConfig:
-    f = cfg.get("feature", {})
-    sp = f.get("spectral", {})
-    top_k = f.get("top_k", 3)
-    spectral = SpectralConfig(
-        top_k=top_k,
-        n_iters=sp.get("n_iters", 15),
-        fd_rel=sp.get("fd_rel", 1e-3),
-        early_stop_tol=sp.get("early_stop_tol", 1e-4),
-    )
-    timesteps = f.get("timesteps")
-    if timesteps is None:
-        timesteps = default_timesteps(schedule)
-    return FeatureConfig(
-        timesteps=tuple(timesteps),
-        top_k=top_k,
-        n_reps=f.get("n_reps", 20),
-        aggregation=f.get("aggregation", "mean"),
-        spectral=spectral,
-    )
+    # the schema admits only dataclass fields, so omitted keys take the
+    # dataclass defaults
+    f = dict(cfg.get("feature", {}))
+    spectral = f.pop("spectral", {})
+    if "timesteps" not in f:
+        f["timesteps"] = default_timesteps(schedule)
+    config = FeatureConfig(**f)
+    config.spectral = SpectralConfig(top_k=config.top_k, **spectral)
+    return config
 
 
 def train_config_from_config(cfg: dict) -> tuple[TrainConfig, tuple[int, ...]]:
-    t = cfg.get("train", {})
-    config = TrainConfig(
-        steps=t.get("steps", 20000),
-        batch_size=t.get("batch_size", 64),
-        lr=t.get("lr", 1e-3),
-        seed=t.get("seed", 0),
-    )
-    return config, tuple(t.get("hidden", (128, 128)))
+    t = dict(cfg.get("train", {}))
+    hidden = tuple(t.pop("hidden", (128, 128)))
+    return TrainConfig(**t), hidden
 
 
 def load_calibration_doc(path: str) -> dict:

@@ -158,16 +158,15 @@ def config_hash(model_desc, schedule: NoiseSchedule, config: FeatureConfig, metr
 # -- feature extraction ---------------------------------------------------
 
 
-def _one_repetition(denoiser, x, sigma, t, rep, config, seed, sample_id, retry):
-    noise_lane = LANE_NOISE_RETRY if retry else LANE_NOISE
-    spectral_lane = LANE_SPECTRAL_RETRY if retry else LANE_SPECTRAL
-    z = gaussian_vec(RngStream(seed, (sample_id, t, rep, noise_lane)), x.shape[0], sigma)
+def _retry_repetition(denoiser, x, sigma, t, rep, config, seed, sample_id):
+    """Feature of one repetition on its fresh retry streams."""
+    z = gaussian_vec(RngStream(seed, (sample_id, t, rep, LANE_NOISE_RETRY)), x.shape[0], sigma)
     result = subspace_iteration(
         denoiser,
         x + z,
         sigma,
         config.spectral,
-        rng=RngStream(seed, (sample_id, t, rep, spectral_lane)),
+        rng=RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL_RETRY)),
     )
     return float(np.sum(result.eigenvalues[: config.top_k]))
 
@@ -196,17 +195,11 @@ def eigen_feature(
     cfg = replace(config, spectral=spectral)
 
     raw = np.empty((len(timesteps), config.n_reps))
-    d = x.shape[0]
     for ti, t in enumerate(timesteps):
         sigma = sigma_at(schedule, t)
         # all repetitions of this timestep share each denoiser call; every
         # row still follows its own (sample, t, rep)-keyed streams
-        x_ts = np.stack(
-            [
-                x + gaussian_vec(RngStream(seed, (sample_id, t, rep, LANE_NOISE)), d, sigma)
-                for rep in range(config.n_reps)
-            ]
-        )
+        x_ts = _noisy_points(x, sigma, t, config.n_reps, seed, sample_id)
         rngs = [
             RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL))
             for rep in range(config.n_reps)
@@ -216,8 +209,8 @@ def eigen_feature(
         for rep, out in enumerate(outcomes):
             if isinstance(out, RankDeficientError):
                 try:
-                    raw[ti, rep] = _one_repetition(
-                        denoiser, x, sigma, t, rep, cfg, seed, sample_id, retry=True
+                    raw[ti, rep] = _retry_repetition(
+                        denoiser, x, sigma, t, rep, cfg, seed, sample_id
                     )
                     log.warning(
                         "sample %d t=%d rep %d: rank-deficient subspace, retry succeeded",

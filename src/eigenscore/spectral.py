@@ -43,14 +43,12 @@ class SpectralConfig:
     fd_rel       finite-difference step as a fraction of sigma
     early_stop_tol  stop when every eigenvalue estimate changes by less
                  than this relative amount between iterations; 0 disables
-    seed         used only when no explicit rng stream is supplied
     """
 
     top_k: int = 3
     n_iters: int = 15
     fd_rel: float = 1e-3
     early_stop_tol: float = 1e-4
-    seed: int = 0
 
 
 @dataclass
@@ -85,8 +83,8 @@ def _as_denoise_fn(denoiser):
 
 def _eval_batch(fn, points: np.ndarray, sigma: float) -> np.ndarray:
     # One memory layout for every call: the denoisers' einsum and matmul
-    # kernels round differently for C- and Fortran-ordered input, so the
-    # one-row and the stacked paths must hand over the same layout.
+    # kernels round differently for C- and Fortran-ordered input, so a
+    # point's result is reproducible only if every call uses one layout.
     points = np.asfortranarray(points)
     out = np.asarray(fn(points, sigma), dtype=float)
     if out.shape != points.shape:
@@ -130,131 +128,25 @@ def jvp(denoiser, x_t: np.ndarray, sigma: float, v: np.ndarray, c: float) -> np.
     return (out[0] - out[1]) / (2.0 * c)
 
 
-def _jvp_block(fn, x_t: np.ndarray, sigma: float, cols: np.ndarray, c: float) -> np.ndarray:
-    """FD Jacobian products for all columns in one batched evaluation."""
-    k = cols.shape[1]
-    pts = np.concatenate([x_t + c * cols.T, x_t - c * cols.T], axis=0)
-    out = _eval_batch(fn, pts, sigma)
-    return (out[:k] - out[k:]).T / (2.0 * c)
-
-
-def subspace_iteration(
-    denoiser,
-    x_t: np.ndarray,
-    sigma: float,
-    config: SpectralConfig,
-    rng: RngStream | None = None,
-) -> SpectralResult:
-    """Estimate the top eigenpairs of sigma^2 * dD/dx at x_t.
-
-    Starting from random N(0, sigma^2 I) directions, each iteration applies
-    the finite-difference Jacobian product to every column and
-    re-orthonormalizes.  Eigenvalues are then re-evaluated on the final
-    orthonormal columns: magnitude sigma^2 * ||J v_k|| per the product norm,
-    sign from the Rayleigh quotient v_k^T J v_k (analytic posteriors are
-    PSD, learned models occasionally are not; negatives are clamped in
-    `eigenvalues` and kept in `raw_eigenvalues`).
-
-    Denoiser evaluations total 2 * k * (iterations performed + 1).
-
-    Parameters
-    ----------
-    rng : RngStream, optional
-        Stream for the starting directions.  Defaults to a stream derived
-        from config.seed; callers that need per-work-item determinism pass
-        their own.
-    """
-    x_t = np.asarray(x_t, dtype=float)
-    if x_t.ndim != 1:
-        raise DimMismatchError(f"x_t must be 1-d, got shape {x_t.shape}")
-    if sigma <= 0.0:
-        raise BadRangeError(f"sigma must be positive, got {sigma}")
-    if config.top_k < 1:
-        raise BadRangeError(f"top_k must be >= 1, got {config.top_k}")
-    if config.n_iters < 1:
-        raise BadRangeError(f"n_iters must be >= 1, got {config.n_iters}")
-    d = x_t.shape[0]
-    k = min(config.top_k, d)  # more directions than dims cannot stay orthonormal
-    fn = _as_denoise_fn(denoiser)
-    c = config.fd_rel * sigma
-    _check_fd_step(c, sigma)
-    if rng is None:
-        rng = RngStream(config.seed)
-
-    cols = np.stack(
-        [gaussian_vec(rng.child(j), d, sigma) for j in range(k)], axis=1
-    )
-    s2 = sigma * sigma
-    prev: np.ndarray | None = None
-    history: list[float] = []
-    n_evals = 0
-    performed = 0
-    for _ in range(config.n_iters):
-        products = _jvp_block(fn, x_t, sigma, cols, c)
-        n_evals += 2 * k
-        performed += 1
-        norms_in = np.linalg.norm(cols, axis=0)
-        lam = s2 * np.linalg.norm(products, axis=0) / norms_in
-        top = max(float(np.max(lam)), 1e-300)
-        resid = (
-            np.linalg.norm(s2 * products / norms_in - lam * cols / norms_in, axis=0)
-            / top
-        )
-        history.append(float(np.max(resid)))
-        cols, _ = qr_orthonormalize(products)
-        est = np.sort(lam)[::-1]
-        if (
-            prev is not None
-            and config.early_stop_tol > 0.0
-            and np.all(
-                np.abs(est - prev) <= config.early_stop_tol * np.maximum(prev, 1e-12 * top)
-            )
-        ):
-            prev = est
-            break
-        prev = est
-
-    # Final eigenvalue pass on the converged orthonormal directions.
-    products = _jvp_block(fn, x_t, sigma, cols, c)
-    n_evals += 2 * k
-    lam_mag = s2 * np.linalg.norm(products, axis=0)
-    sign = np.where(np.einsum("ij,ij->j", cols, products) < 0.0, -1.0, 1.0)
-    raw = sign * lam_mag
-    top = max(float(np.max(lam_mag)), 1e-300)
-    final_resid = float(
-        np.max(np.linalg.norm(s2 * products - raw * cols, axis=0)) / top
-    )
-    history.append(final_resid)
-    order = np.argsort(raw)[::-1]
-    raw = raw[order]
-    return SpectralResult(
-        eigenvalues=np.clip(raw, 0.0, None),
-        raw_eigenvalues=raw,
-        eigenvectors=cols[:, order],
-        sigma=float(sigma),
-        residual=final_resid,
-        residual_history=history,
-        n_iters=performed,
-        n_evals=n_evals,
-    )
-
-
 def _jvp_stack(fn, x_ts: np.ndarray, sigma: float, cols: np.ndarray, c: float) -> np.ndarray:
-    """`_jvp_block` for a stack of rows in one evaluation.
+    """Finite-difference Jacobian products for a stack of rows in one evaluation.
 
     x_ts is (n, d) and cols (n, d, k); returns the (n, d, k) products.
-    Every row's points and products match what `_jvp_block` builds for
-    that row alone, and so does each row's memory layout: numpy sums a
-    contiguous axis pairwise and a strided one in sequence, so the norms
-    taken later round alike only if the layouts agree.
+    The products' memory layout is picked from the denoiser output's layout
+    alone, never from n, so a row's bits do not depend on how many rows
+    share its call: numpy sums a contiguous axis pairwise and a strided one
+    in sequence, so the norms taken later round alike only if every row
+    keeps one layout.
     """
     n, d, k = cols.shape
     step = c * np.swapaxes(cols, 1, 2)
     x = x_ts[:, None, :]
     pts = np.concatenate([x + step, x - step], axis=1).reshape(n * 2 * k, d)
     out = _eval_batch(fn, pts, sigma)
-    # `_jvp_block` subtracts (k, d) halves of a (2k, d) output; numpy keeps
-    # the halves' memory order, which for k > 1 follows the output's
+    # numpy's default layout for the difference follows the output's, which
+    # for Fortran-ordered output interleaves the rows: a row's d-axis stride
+    # would then change with n.  Every row gets the layout a lone row's
+    # default has.
     if k > 1 and abs(out.strides[0]) < abs(out.strides[1]):
         products = np.empty((n, d, k))
     else:
@@ -272,22 +164,32 @@ def subspace_iteration_batch(
     config: SpectralConfig,
     rngs: list,
 ) -> list:
-    """Run independent subspace iterations as one stacked computation.
+    """Estimate the top eigenpairs of sigma^2 * dD/dx at every row of x_ts.
 
-    Row r iterates at x_ts[r] with starting directions from rngs[r].  The
-    active rows' directions are held as one (rows, d, k) stack, and each
+    Row r starts from random N(0, sigma^2 I) directions drawn from rngs[r].
+    Each sweep applies the finite-difference Jacobian product to every
+    column and re-orthonormalizes, until no eigenvalue estimate changes by
+    more than early_stop_tol (relative) or n_iters sweeps are done.
+    Eigenvalues are then re-evaluated on the final orthonormal columns:
+    magnitude sigma^2 * ||J v_k|| per the product norm, sign from the
+    Rayleigh quotient v_k^T J v_k (analytic posteriors are PSD, learned
+    models occasionally are not; negatives are clamped in `eigenvalues` and
+    kept in `raw_eigenvalues`).  A row costs 2 * k * (sweeps + 1) denoiser
+    evaluations.
+
+    The active rows' directions are held as one (rows, d, k) stack, and each
     sweep is a fixed set of whole-stack operations: one denoiser call on
     every active row's finite-difference points, one stacked QR, and
     array-wide norms, residuals, sorts and early-stop tests.  Rows that
     stop leave the stack; all survivors share one final eigenvalue pass.
 
-    Contract: a row's result is bit-identical to what `subspace_iteration`
-    returns for it alone, whatever other rows share its batch and whatever
-    thread count runs it.  This holds for any denoiser whose output for a
-    row does not depend, bit for bit, on the other rows of the call, such
-    as `GaussianMixture`.  A BLAS-backed network like `MlpDenoiser` can
-    round a row differently with the row count; its rows then agree with
-    the one-row path to rounding only, but still never depend on threads.
+    Contract: a row's result is bit-identical whatever other rows share its
+    batch, in whatever order, and whatever thread count runs it.  This holds
+    for any denoiser whose output for a row does not depend, bit for bit, on
+    the other rows of the call, such as `GaussianMixture`.  A BLAS-backed
+    network like `MlpDenoiser` can round a row differently with the row
+    count; its rows then agree with the same row alone to about 1e-12 only,
+    but still never depend on threads.
 
     Returns a list aligned with rngs whose entries are SpectralResult, or
     the RankDeficientError a row's orthonormalization raised so the caller
@@ -401,6 +303,27 @@ def subspace_iteration_batch(
             n_evals=2 * k * (n_it + 1),
         )
     return outcome
+
+
+def subspace_iteration(
+    denoiser,
+    x_t: np.ndarray,
+    sigma: float,
+    config: SpectralConfig,
+    rng: RngStream,
+) -> SpectralResult:
+    """Estimate the top eigenpairs of sigma^2 * dD/dx at the one point x_t.
+
+    The one-row case of `subspace_iteration_batch`, which describes the
+    method; a collapsed subspace raises its RankDeficientError.
+    """
+    x_t = np.asarray(x_t, dtype=float)
+    if x_t.ndim != 1:
+        raise DimMismatchError(f"x_t must be 1-d, got shape {x_t.shape}")
+    (result,) = subspace_iteration_batch(denoiser, x_t[None], sigma, config, [rng])
+    if isinstance(result, RankDeficientError):
+        raise result
+    return result
 
 
 def exact_spectrum(

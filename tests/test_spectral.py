@@ -9,6 +9,7 @@ from eigenscore.errors import (
     RankDeficientError,
 )
 from eigenscore.gmm import GaussianMixture
+from eigenscore.mlp import MlpDenoiser
 from eigenscore.rng import RngStream
 from eigenscore.spectral import (
     SpectralConfig,
@@ -183,6 +184,8 @@ def assert_same_result(got, want):
 
 
 def test_batch_matches_sequential_bitwise():
+    # subspace_iteration is the one-row batch: each row of a batch must
+    # equal the same row alone, with and without early stopping
     g = GaussianMixture(
         [0.4, 0.6], [[-1.0, 0.5], [1.0, -0.5]], [np.eye(2) * 0.7, np.eye(2) * 1.3]
     )
@@ -200,9 +203,10 @@ def test_batch_matches_sequential_bitwise():
     [(16, 4, "mixture"), (24, 5, "mixture"), (33, 8, "mixture"), (40, 1, "mixture"), (33, 4, "matmul")],
 )
 def test_batch_matches_sequential_bitwise_high_dim(d, top_k, model):
-    # at d >= 16 numpy sums contiguous axes pairwise and strided ones in
-    # sequence, so this only holds if every row keeps the one-row layouts;
-    # the mixture returns Fortran-ordered rows, a matmul C-ordered ones
+    # a row in a 12-row batch equals the same row alone; at d >= 16 numpy
+    # sums contiguous axes pairwise and strided ones in sequence, so this
+    # only holds if a row's layouts do not change with the row count.  The
+    # mixture returns Fortran-ordered rows, a matmul C-ordered ones
     if model == "mixture":
         g = random_mixture(d, 3, seed=d)
     else:
@@ -221,6 +225,7 @@ def test_batch_matches_sequential_bitwise_high_dim(d, top_k, model):
 
 
 def test_batch_row_independent_of_batch_mates():
+    # a row in a 20-row batch equals it alone and in a reordered batch
     g = random_mixture(20, 4, seed=1)
     x_ts = np.random.default_rng(2).standard_normal((20, 20))
     rngs = [RngStream(9, (r,)) for r in range(20)]
@@ -275,6 +280,47 @@ def test_batch_all_rows_rank_deficient():
         MostlyFine(), np.full((3, 2), 9.0), 0.5, cfg, [RngStream(1, (r,)) for r in range(3)]
     )
     assert all(isinstance(o, RankDeficientError) for o in out)
+
+
+def pinned_model(kind, d):
+    if kind == "mixture":
+        return random_mixture(d, 3, seed=d)
+    if kind == "matmul":
+        a = np.random.default_rng(d).standard_normal((d, d))
+        return LinearDenoiser(0.5 * (a + a.T))
+    return MlpDenoiser(d, seed=0)  # untrained
+
+
+@pytest.mark.parametrize(
+    "kind, d, top_k, n_iters, want",
+    [
+        ("mixture", 2, 1, 10, [0.5491699593812487]),
+        ("mixture", 2, 2, 10, [0.5491699605247654, 0.20234800989205518]),
+        ("mixture", 24, 1, 15, [2.4891985136831]),
+        (
+            "mixture", 24, 5, 15,
+            [2.4891985136842583, 0.39265868765597506, 0.38189065815760637,
+             0.3745917413456861, 0.3688125767865277],
+        ),
+        (
+            "matmul", 33, 4, 15,
+            [3.5501354898131505, 3.4341711937690005, 3.357220951514195, 3.350203572703329],
+        ),
+        ("mlp", 32, 3, 8, [0.3130562417492995, 0.31016923611005853, -0.2615053481131245]),
+    ],
+)
+def test_subspace_pinned_values(kind, d, top_k, n_iters, want):
+    # values recorded from the estimator on these fixed inputs; a change to
+    # the sweep's arithmetic shows here
+    x_t = np.random.default_rng(100 + d).standard_normal(d)
+    cfg = SpectralConfig(top_k=top_k, n_iters=n_iters, early_stop_tol=0.0)
+    res = subspace_iteration(
+        pinned_model(kind, d), x_t, 0.7, cfg, rng=RngStream(23, (d, top_k))
+    )
+    assert res.n_iters == n_iters
+    assert res.n_evals == 2 * top_k * (n_iters + 1)
+    np.testing.assert_allclose(res.raw_eigenvalues, want, rtol=1e-12)
+    assert np.array_equal(res.eigenvalues, np.clip(res.raw_eigenvalues, 0.0, None))
 
 
 def test_exact_spectrum_matches_analytic():
