@@ -7,16 +7,47 @@ from __future__ import annotations
 
 import json
 
-import jsonschema
+from jsonschema import Draft202012Validator, ValidationError
+from jsonschema.exceptions import best_match
+from jsonschema.validators import extend
 
 from .errors import ConfigError
 from .gmm import GaussianMixture
-from .mlp import MlpDenoiser, TrainConfig
+from .mlp import DEFAULT_HIDDEN, MlpDenoiser, TrainConfig
 from .pipeline import AGGREGATIONS, FeatureConfig
 from .schedule import KINDS, NoiseSchedule, build_schedule, default_timesteps
 from .spectral import SpectralConfig
 
-_NUMBER_ROW = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+
+def _number_errors(value, depth: int, path: tuple):
+    """Errors of a non-empty array nested `depth` deep with number leaves.
+
+    Each error names the path and message that the per-item schema
+    {"type": "array", "items": ..., "minItems": 1} around {"type": "number"}
+    would give, without running every number through the type machinery.
+    """
+    if type(value) is not list:
+        yield ValidationError(f"{value!r} is not of type 'array'", path=path, instance=value)
+    elif not value:
+        yield ValidationError(f"{value!r} should be non-empty", path=path, instance=value)
+    elif depth == 1:
+        for i, v in enumerate(value):
+            if type(v) is not float and type(v) is not int:
+                yield ValidationError(
+                    f"{v!r} is not of type 'number'", path=(*path, i), instance=v
+                )
+    else:
+        for i, row in enumerate(value):
+            yield from _number_errors(row, depth - 1, (*path, i))
+
+
+def _numbers(validator, depth, instance, schema):
+    # the "numbers" keyword: {"numbers": 2} is a non-empty array of
+    # non-empty arrays of numbers
+    yield from _number_errors(instance, depth, ())
+
+
+_Validator = extend(Draft202012Validator, {"numbers": _numbers})
 
 MODEL_GMM_SCHEMA = {
     "type": "object",
@@ -24,13 +55,9 @@ MODEL_GMM_SCHEMA = {
     "required": ["kind", "weights", "means", "covariances"],
     "properties": {
         "kind": {"const": "gmm"},
-        "weights": _NUMBER_ROW,
-        "means": {"type": "array", "items": _NUMBER_ROW, "minItems": 1},
-        "covariances": {
-            "type": "array",
-            "items": {"type": "array", "items": _NUMBER_ROW, "minItems": 1},
-            "minItems": 1,
-        },
+        "weights": {"numbers": 1},
+        "means": {"numbers": 2},
+        "covariances": {"numbers": 3},
     },
 }
 
@@ -119,8 +146,8 @@ CALIBRATION_SCHEMA = {
         "metric": {"type": "string"},
         "timesteps": {"type": "array", "items": {"type": "integer"}},
         "aggregation": {"enum": list(AGGREGATIONS)},
-        "mu": _NUMBER_ROW,
-        "sigma": _NUMBER_ROW,
+        "mu": {"numbers": 1},
+        "sigma": {"numbers": 1},
         "layout": {
             "type": "array",
             "items": {
@@ -136,10 +163,13 @@ CALIBRATION_SCHEMA = {
 }
 
 
-def _validate(doc, schema, label: str) -> None:
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as e:
+_CONFIG_VALIDATOR = _Validator(CONFIG_SCHEMA)
+_CALIBRATION_VALIDATOR = _Validator(CALIBRATION_SCHEMA)
+
+
+def _validate(doc, validator, label: str) -> None:
+    e = best_match(validator.iter_errors(doc))
+    if e is not None:
         where = "/".join(str(p) for p in e.absolute_path) or "<top level>"
         raise ConfigError(f"{label} invalid at {where}: {e.message}") from e
 
@@ -150,7 +180,7 @@ def load_config(path: str) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-    _validate(doc, CONFIG_SCHEMA, f"config {path}")
+    _validate(doc, _CONFIG_VALIDATOR, f"config {path}")
     return doc
 
 
@@ -191,7 +221,7 @@ def feature_config_from_config(cfg: dict, schedule: NoiseSchedule) -> FeatureCon
 
 def train_config_from_config(cfg: dict) -> tuple[TrainConfig, tuple[int, ...]]:
     t = dict(cfg.get("train", {}))
-    hidden = tuple(t.pop("hidden", (128, 128)))
+    hidden = tuple(t.pop("hidden", DEFAULT_HIDDEN))
     return TrainConfig(**t), hidden
 
 
@@ -201,5 +231,5 @@ def load_calibration_doc(path: str) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise ConfigError(f"calibration {path} is not valid JSON: {e}") from e
-    _validate(doc, CALIBRATION_SCHEMA, f"calibration {path}")
+    _validate(doc, _CALIBRATION_VALIDATOR, f"calibration {path}")
     return doc

@@ -156,9 +156,10 @@ class GaussianMixture:
     # -- per-sigma factors ------------------------------------------------
 
     def _factors(self, sigma: float):
-        """(inv, gain, postcov, lognorm) for each component at this sigma.
+        """(inv_t, gain, postcov, lognorm) for each component at this sigma.
 
-        inv     = (C_i + sigma^2 I)^-1
+        inv_t   = ((C_i + sigma^2 I)^-1)^T, C-contiguous: the right operand
+                  of the one stacked GEMM every denoiser call makes
         gain    = C_i (C_i + sigma^2 I)^-1          (posterior-mean gain)
         postcov = sigma^2 C_i (C_i + sigma^2 I)^-1  (per-component posterior cov)
         lognorm = log w_i - (d/2) log 2pi - (1/2) log det(C_i + sigma^2 I)
@@ -172,6 +173,7 @@ class GaussianMixture:
         s2 = key * key
         lifted = self._evals + s2  # (m, d), strictly positive
         inv = np.einsum("mij,mj,mkj->mik", self._evecs, 1.0 / lifted, self._evecs)
+        inv_t = np.ascontiguousarray(inv.transpose(0, 2, 1))
         gain = np.einsum("mij,mj,mkj->mik", self._evecs, self._evals / lifted, self._evecs)
         postcov = s2 * gain
         lognorm = (
@@ -179,16 +181,27 @@ class GaussianMixture:
             - 0.5 * self.dim * _LOG_2PI
             - 0.5 * np.sum(np.log(lifted), axis=1)
         )
-        out = (inv, gain, postcov, lognorm)
+        out = (inv_t, gain, postcov, lognorm)
         self._sigma_cache[key] = out
         return out
 
-    def _log_components(self, x2: np.ndarray, sigma: float) -> np.ndarray:
-        """log of w_i * N(x; mu_i, C_i + sigma^2 I), shape (m, B)."""
-        inv, _, _, lognorm = self._factors(sigma)
-        dx = x2[None, :, :] - self.means[:, None, :]  # (m, B, d)
-        quad = np.einsum("mbi,mij,mbj->mb", dx, inv, dx)
-        return lognorm[:, None] - 0.5 * quad
+    def _components(self, x2: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """log of w_i * N(x; mu_i, C_i + sigma^2 I), shape (m, B), and the
+        whitened offsets z_i = (C_i + sigma^2 I)^-1 (x - mu_i), shape (m, B, d).
+
+        Both come from one stacked GEMM z = dx @ inv_t.  A row of z rounds
+        alike for any B >= 2 because neither operand's layout depends on B or
+        on the caller's layout: dx is built Fortran-ordered per component
+        and inv_t is contiguous.  With a C-ordered dx, BLAS rounds a row
+        differently with the row count (seen at d = 33 and d = 65).
+        """
+        inv_t, _, _, lognorm = self._factors(sigma)
+        b, d = x2.shape
+        dx = np.empty((self.n_components, d, b)).transpose(0, 2, 1)
+        np.subtract(x2[None, :, :], self.means[:, None, :], out=dx)
+        z = np.matmul(dx, inv_t)
+        quad = np.sum(z * dx, axis=2)
+        return lognorm[:, None] - 0.5 * quad, z
 
     def _as_batch(self, x) -> tuple[np.ndarray, bool]:
         a = np.asarray(x, dtype=float)
@@ -204,24 +217,23 @@ class GaussianMixture:
     def noisy_logpdf(self, x, sigma: float):
         """log density of x_t = x + sigma z at the given point(s)."""
         x2, single = self._as_batch(x)
-        out = logsumexp(self._log_components(x2, sigma), axis=0)
+        out = logsumexp(self._components(x2, sigma)[0], axis=0)
         return float(out[0]) if single else out
 
     def responsibilities(self, x, sigma: float):
         """Posterior component probabilities given x_t, shape (..., m)."""
         x2, single = self._as_batch(x)
-        logc = self._log_components(x2, sigma)
+        logc, _ = self._components(x2, sigma)
         r = np.exp(logc - logsumexp(logc, axis=0, keepdims=True)).T
         return r[0] if single else r
 
     def score(self, x, sigma: float):
         """Gradient of the noisy log density at x_t."""
         x2, single = self._as_batch(x)
-        inv, _, _, _ = self._factors(sigma)
-        logc = self._log_components(x2, sigma)
+        logc, z = self._components(x2, sigma)
         r = np.exp(logc - logsumexp(logc, axis=0, keepdims=True))  # (m, B)
-        pull = np.einsum("mij,mbj->mbi", inv, self.means[:, None, :] - x2[None, :, :])
-        out = np.einsum("mb,mbi->bi", r, pull)
+        # the pull towards mean i is inv_i (mu_i - x) = -z_i
+        out = -np.einsum("mb,mbi->bi", r, z)
         return out[0] if single else out
 
     def denoise(self, x, sigma: float):
@@ -229,6 +241,12 @@ class GaussianMixture:
 
         This is the same code path used to verify the posterior-mean/score
         identity, so the two agree exactly by construction.
+
+        For B >= 2 rows, a row's output is bit-identical whatever other rows
+        share the call and whatever the input's memory layout (see
+        `_components`).  A call with one point (B = 1) takes numpy's
+        matrix-vector path and may differ from the same point in a batch in
+        the last bits.
         """
         x2, single = self._as_batch(x)
         out = x2 + (sigma * sigma) * self.score(x2, sigma)
@@ -245,7 +263,7 @@ class GaussianMixture:
         if not single:
             raise DimMismatchError("posterior_cov takes a single point")
         xt = x2[0]
-        inv, gain, postcov, _ = self._factors(sigma)
+        _, gain, postcov, _ = self._factors(sigma)
         r = self.responsibilities(xt, sigma)
         pmeans = self.means + np.einsum("mij,mj->mi", gain, xt - self.means)
         mbar = r @ pmeans

@@ -31,6 +31,7 @@ from .schedule import NoiseSchedule
 
 CKPT_MAGIC = b"MLPD"
 CKPT_VERSION = 1
+DEFAULT_HIDDEN = (128, 128)
 
 
 @dataclass
@@ -51,11 +52,11 @@ class TrainConfig:
 class MlpDenoiser:
     """tanh MLP denoiser conditioned on log sigma.
 
-    Hidden widths default to (128, 128); input width is dim + 1 for the
+    Hidden widths default to DEFAULT_HIDDEN; input width is dim + 1 for the
     log-sigma channel and the output is linear with width dim.
     """
 
-    def __init__(self, dim: int, hidden: tuple[int, ...] = (128, 128), seed: int = 0):
+    def __init__(self, dim: int, hidden: tuple[int, ...] = DEFAULT_HIDDEN, seed: int = 0):
         if dim < 1:
             raise BadRangeError(f"dim must be >= 1, got {dim}")
         if any(h < 1 for h in hidden):

@@ -186,7 +186,10 @@ def subspace_iteration_batch(
     Contract: a row's result is bit-identical whatever other rows share its
     batch, in whatever order, and whatever thread count runs it.  This holds
     for any denoiser whose output for a row does not depend, bit for bit, on
-    the other rows of the call, such as `GaussianMixture`.  A BLAS-backed
+    the other rows of the call.  `GaussianMixture` is one because its one
+    stacked GEMM keeps operand layouts that depend on neither the row count
+    nor the caller's layout (see `GaussianMixture._components`); the
+    engine always calls it with two or more rows.  A BLAS-backed
     network like `MlpDenoiser` can round a row differently with the row
     count; its rows then agree with the same row alone to about 1e-12 only,
     but still never depend on threads.

@@ -1,9 +1,16 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from eigenscore.config import (
+    CALIBRATION_SCHEMA,
+    CONFIG_SCHEMA,
     feature_config_from_config,
     load_calibration_doc,
     load_config,
@@ -153,3 +160,143 @@ def test_calibration_doc_schema(tmp_path):
     wrong["aggregation"] = "trimmed"
     with pytest.raises(ConfigError):
         load_calibration_doc(write_json(tmp_path, "wrong.json", wrong))
+
+
+def per_item_schema(schema):
+    """The schema with each {"numbers": depth} spelled out item by item, as
+    the numeric fields were checked before the keyword: the reference."""
+    if isinstance(schema, dict):
+        if set(schema) == {"numbers"}:
+            inner = {"type": "number"}
+            for _ in range(schema["numbers"]):
+                inner = {"type": "array", "items": inner, "minItems": 1}
+            return inner
+        return {k: per_item_schema(v) for k, v in schema.items()}
+    if isinstance(schema, list):
+        return [per_item_schema(v) for v in schema]
+    return schema
+
+
+REFERENCE = {
+    "config": Draft202012Validator(per_item_schema(CONFIG_SCHEMA)),
+    "calibration": Draft202012Validator(per_item_schema(CALIBRATION_SCHEMA)),
+}
+LOADERS = {"config": load_config, "calibration": load_calibration_doc}
+
+
+def test_reference_schemas_are_valid():
+    for validator in REFERENCE.values():
+        Draft202012Validator.check_schema(validator.schema)
+    Draft202012Validator.check_schema(CONFIG_SCHEMA)
+    Draft202012Validator.check_schema(CALIBRATION_SCHEMA)
+
+
+def calibration_doc():
+    return {
+        "metric": "eigenscore",
+        "timesteps": [1, 2],
+        "aggregation": "mean",
+        "mu": [0.0, 1.0],
+        "sigma": [1.0, 2.0],
+        "layout": [[1, 1], [2, 1]],
+        "n_train": 5,
+    }
+
+
+def reference_outcome(kind, doc):
+    """(path, message) of the error the per-item schema reports, or None."""
+    e = best_match(REFERENCE[kind].iter_errors(doc))
+    if e is None:
+        return None
+    return "/".join(str(p) for p in e.absolute_path), e.message
+
+
+def loaded_outcome(tmp_path, kind, doc):
+    path = write_json(tmp_path, f"{kind}.json", doc)
+    try:
+        LOADERS[kind](path)
+    except ConfigError as e:
+        where, _, message = str(e).partition(" invalid at ")[2].partition(": ")
+        return where, message
+    return None
+
+
+# (document kind, path of a numeric field inside it, nesting depth)
+NUMERIC_FIELDS = [
+    ("config", ("model", "weights"), 1),
+    ("config", ("model", "means"), 2),
+    ("config", ("model", "covariances"), 3),
+    ("calibration", ("mu",), 1),
+    ("calibration", ("sigma",), 1),
+]
+BAD_VALUES = {
+    "bool": True,
+    "string": "x",
+    "null": None,
+    "empty row": [],
+    "scalar": 1.5,
+    "dict": {"a": 1.0},
+}
+
+
+@pytest.mark.parametrize("kind, field, depth", NUMERIC_FIELDS)
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_bad_number_names_path_and_message(tmp_path, kind, field, depth, bad):
+    base = {"model": copy.deepcopy(GMM_MODEL)} if kind == "config" else calibration_doc()
+    # one bad value at each level, from the field itself down to a leaf
+    for level in range(depth + 1):
+        value = BAD_VALUES[bad]
+        if bad == "scalar" and level == depth:
+            continue  # a number is what a leaf should be
+        doc = copy.deepcopy(base)
+        holder = doc
+        for key in field[:-1]:
+            holder = holder[key]
+        key, where = field[-1], list(field)
+        for _ in range(level):
+            holder, key = holder[key], 0
+            where.append(0)
+        holder[key] = value
+        got = loaded_outcome(tmp_path, kind, doc)
+        assert got == reference_outcome(kind, doc)
+        if level == 0 and field in (("model", "weights"), ("model", "means")):
+            # as with the per-item schema, best_match picks the equally
+            # shallow error with the smaller path: the mlp branch's kind
+            assert got == ("model/kind", "'mlp' was expected")
+            continue
+        assert got[0] == "/".join(map(str, where))
+        assert got[1].startswith(repr(value))
+
+
+NUMBER = st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3))
+JUNK = st.sampled_from([True, False, None, "x", {}, {"a": 1.0}, []])
+
+
+def maybe_bad(strategy):
+    # rarely bad at any one node, so that about half the documents are valid
+    return st.integers(0, 29).flatmap(lambda i: JUNK if i == 0 else strategy)
+
+
+def nested(depth):
+    if depth == 0:
+        return maybe_bad(NUMBER)
+    return maybe_bad(st.lists(nested(depth - 1), min_size=1, max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=nested(1),
+    means=nested(2),
+    covariances=nested(3),
+    mu=nested(1),
+    sigma=nested(1),
+    extra=st.sampled_from([{}, {"seed": -1}, {"feature": {"top_k": 0}}]),
+)
+def test_numbers_keyword_agrees_with_per_item_schema(
+    tmp_path_factory, weights, means, covariances, mu, sigma, extra
+):
+    tmp_path = tmp_path_factory.mktemp("docs")
+    model = {"kind": "gmm", "weights": weights, "means": means, "covariances": covariances}
+    calib = dict(calibration_doc(), mu=mu, sigma=sigma)
+    for kind, doc in (("config", {"model": model, **extra}), ("calibration", calib)):
+        assert loaded_outcome(tmp_path, kind, doc) == reference_outcome(kind, doc)

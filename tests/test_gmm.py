@@ -83,6 +83,56 @@ def test_denoise_equals_tweedie_update_bitwise():
     assert np.array_equal(g.denoise(pts, s), pts + s * s * g.score(pts, s))
 
 
+def random_mixture(d, m, seed):
+    gen = np.random.default_rng(seed)
+    covs = []
+    for _ in range(m):
+        a = gen.standard_normal((d, d)) / np.sqrt(d)
+        covs.append(a @ a.T + 0.05 * np.eye(d))
+    weights = gen.random(m) + 0.2
+    return GaussianMixture(weights / weights.sum(), 2.0 * gen.standard_normal((m, d)), covs)
+
+
+def einsum_denoise(g, x, sigma):
+    """The per-component einsums the stacked GEMM replaced, as a reference."""
+    s2 = sigma * sigma
+    lifted = g._evals + s2
+    inv = np.einsum("mij,mj,mkj->mik", g._evecs, 1.0 / lifted, g._evecs)
+    lognorm = (
+        np.log(g.weights) - 0.5 * g.dim * np.log(2.0 * np.pi) - 0.5 * np.sum(np.log(lifted), axis=1)
+    )
+    dx = x[None, :, :] - g.means[:, None, :]
+    logc = lognorm[:, None] - 0.5 * np.einsum("mbi,mij,mbj->mb", dx, inv, dx)
+    r = np.exp(logc - logsumexp(logc, axis=0, keepdims=True))
+    pull = np.einsum("mij,mbj->mbi", inv, g.means[:, None, :] - x[None, :, :])
+    return x + s2 * np.einsum("mb,mbi->bi", r, pull)
+
+
+@pytest.mark.parametrize("d", [2, 8, 24, 64])
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_denoise_matches_einsum_reference(d, m):
+    # the GEMM sums in another order, so agreement is to rounding only
+    g = random_mixture(d, m, seed=10 * d + m)
+    x = 2.0 * np.random.default_rng(d).standard_normal((40, d))
+    for sigma in (0.05, 0.8, 5.0):
+        want = einsum_denoise(g, x, sigma)
+        got = g.denoise(x, sigma)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("d", [2, 24, 33, 65])
+def test_denoise_rows_do_not_depend_on_row_count(d):
+    # the spectral engine's batch contract rests on this: a row's bits are
+    # the same in a call of any B >= 2 rows, whatever the input's layout
+    g = random_mixture(d, 3, seed=d)
+    x = 2.0 * np.random.default_rng(d).standard_normal((320, d))
+    for xs in (x, np.asfortranarray(x)):
+        full = g.denoise(xs, 0.8)
+        for b in (2, 3, 17, 320):
+            assert np.array_equal(g.denoise(xs[:b], 0.8), full[:b])
+            assert np.array_equal(g.denoise(np.ascontiguousarray(xs[:b]), 0.8), full[:b])
+
+
 def test_responsibilities_sum_to_one_and_symmetric_point():
     g = GaussianMixture(
         [0.5, 0.5], [[-1.0], [1.0]], [[[1.0]], [[1.0]]]

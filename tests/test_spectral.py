@@ -296,11 +296,11 @@ def pinned_model(kind, d):
     [
         ("mixture", 2, 1, 10, [0.5491699593812487]),
         ("mixture", 2, 2, 10, [0.5491699605247654, 0.20234800989205518]),
-        ("mixture", 24, 1, 15, [2.4891985136831]),
+        ("mixture", 24, 1, 15, [2.489198513678925]),
         (
             "mixture", 24, 5, 15,
-            [2.4891985136842583, 0.39265868765597506, 0.38189065815760637,
-             0.3745917413456861, 0.3688125767865277],
+            [2.4891985136789567, 0.39265868765624246, 0.3818906581576602,
+             0.3745917413459783, 0.3688125767866209],
         ),
         (
             "matmul", 33, 4, 15,
