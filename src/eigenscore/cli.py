@@ -42,7 +42,6 @@ from .pipeline import (
     score_norm,
 )
 from .rng import LANE_DATA, RngStream
-from .spectral import subspace_iteration
 from .tensorio import atomic_write_text, read_tensor, write_tensor
 from .verify import run_all
 
@@ -167,22 +166,17 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _score_rows(model, xs, schedule, fcfg, calib, seed, threads):
-    if calib.metric == "eigenscore":
-        run_cfg = replace(fcfg, timesteps=calib.timesteps, aggregation=calib.aggregation)
-        feats = extract_features(model, xs, schedule, run_cfg, seed, threads=threads)
-    else:
-        feats = _metric_features(calib.metric, model, xs, schedule, fcfg, seed, threads)
-    return [eigen_score(f, calib) for f in feats]
-
-
 def cmd_score(args) -> int:
-    cfg, model, schedule, fcfg, seed = _load_inputs(args)
     calib = Calibration.from_dict(cfgmod.load_calibration_doc(args.calibration))
     if args.metric is not None and args.metric != calib.metric:
         raise ConfigError(
             f"--metric {args.metric} conflicts with calibration metric {calib.metric}"
         )
+    if args.export_components is not None and calib.metric != "eigenscore":
+        raise ConfigError(
+            f"--export-components needs an eigenscore calibration, got {calib.metric}"
+        )
+    cfg, model, schedule, fcfg, seed = _load_inputs(args)
     expected_hash = config_hash(_model_desc(cfg), schedule, fcfg, calib.metric)
     if calib.config_hash and calib.config_hash != expected_hash:
         log.warning(
@@ -193,7 +187,12 @@ def cmd_score(args) -> int:
     if xs.ndim != 2:
         raise TensorFormatError(f"score data must be 2-d, got shape {xs.shape}")
     threads = _thread_count(args)
-    records = _score_rows(model, xs, schedule, fcfg, calib, seed, threads)
+    if calib.metric == "eigenscore":
+        run_cfg = replace(fcfg, timesteps=calib.timesteps, aggregation=calib.aggregation)
+        feats = extract_features(model, xs, schedule, run_cfg, seed, threads=threads)
+    else:
+        feats = _metric_features(calib.metric, model, xs, schedule, fcfg, seed, threads)
+    records = [eigen_score(f, calib) for f in feats]
 
     buf = io.StringIO()
     m = len(calib.mu)
@@ -206,45 +205,22 @@ def cmd_score(args) -> int:
     atomic_write_text(args.out, buf.getvalue())
 
     if args.export_components is not None:
-        comps = _export_components(model, xs, schedule, fcfg, calib, seed)
+        empty = np.empty((0, len(calib.timesteps), xs.shape[1]))
+        comps = np.stack([f.components for f in feats]) if feats else empty
         write_tensor(args.export_components, comps)
     if args.json_out is not None:
-        scores = np.array([r.score for r in records])
+        scores = [r.score for r in records]
         summary = {
             "metric": calib.metric,
             "n": len(records),
-            "mean_score": float(scores.mean()),
-            "min_score": float(scores.min()),
-            "max_score": float(scores.max()),
+            "mean_score": float(np.mean(scores)) if scores else None,
+            "min_score": min(scores, default=None),
+            "max_score": max(scores, default=None),
             "config_hash": expected_hash,
         }
         atomic_write_text(args.json_out, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"scored {len(records)} samples with {calib.metric} -> {args.out}")
     return 0
-
-
-def _export_components(model, xs, schedule, fcfg, calib, seed):
-    """Leading eigenvector per (sample, timestep) from the first repetition."""
-    from .rng import LANE_NOISE, LANE_SPECTRAL, gaussian_vec
-    from .schedule import sigma_at, validate_timesteps
-
-    ts = validate_timesteps(schedule, calib.timesteps)
-    spectral = replace(fcfg.spectral, top_k=fcfg.top_k)
-    d = xs.shape[1]
-    out = np.zeros((xs.shape[0], len(ts), d))
-    for sid, row in enumerate(xs):
-        for ti, t in enumerate(ts):
-            sigma = sigma_at(schedule, t)
-            z = gaussian_vec(RngStream(seed, (sid, t, 0, LANE_NOISE)), d, sigma)
-            result = subspace_iteration(
-                model,
-                row + z,
-                sigma,
-                spectral,
-                rng=RngStream(seed, (sid, t, 0, LANE_SPECTRAL)),
-            )
-            out[sid, ti] = result.eigenvectors[:, 0]
-    return out
 
 
 def _read_scores_csv(path: str) -> np.ndarray:

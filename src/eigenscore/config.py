@@ -214,9 +214,7 @@ def feature_config_from_config(cfg: dict, schedule: NoiseSchedule) -> FeatureCon
     spectral = f.pop("spectral", {})
     if "timesteps" not in f:
         f["timesteps"] = default_timesteps(schedule)
-    config = FeatureConfig(**f)
-    config.spectral = SpectralConfig(top_k=config.top_k, **spectral)
-    return config
+    return FeatureConfig(**f, spectral=SpectralConfig(**spectral))
 
 
 def train_config_from_config(cfg: dict) -> tuple[TrainConfig, tuple[int, ...]]:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     AnalyticModelRequiredError,
     BadRangeError,
+    ConfigError,
     LayoutMismatchError,
     RankDeficientError,
     TooFewSamplesError,
@@ -47,6 +48,13 @@ _PATH_LANE = 0
 
 @dataclass
 class FeatureConfig:
+    """What `eigen_feature` computes per sample.
+
+    top_k is owned here: construction copies it into `spectral` (a new
+    SpectralConfig, so the one passed in is left as it was), and the probe
+    never sees another value.
+    """
+
     timesteps: tuple[int, ...]
     top_k: int = 3
     n_reps: int = 20
@@ -61,6 +69,7 @@ class FeatureConfig:
             )
         if self.n_reps < 1:
             raise BadRangeError(f"n_reps must be >= 1, got {self.n_reps}")
+        self.spectral = replace(self.spectral, top_k=self.top_k)
 
 
 @dataclass
@@ -68,12 +77,16 @@ class EigenFeature:
     """Aggregated eigenvalue-sum features for one sample.
 
     layout pairs (timestep, slot): slot is 1 for mean/median aggregation
-    and runs 1..n_reps when all repetitions are kept.
+    and runs 1..n_reps when all repetitions are kept.  components (T, d)
+    holds, per timestep, the leading eigenvector of the lowest-numbered
+    repetition that produced a spectrum (a successful retry counts); it is
+    None for the baseline metrics and is not serialized.
     """
 
     sample_id: int
     values: np.ndarray
     layout: tuple[tuple[int, int], ...]
+    components: np.ndarray | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -118,13 +131,28 @@ class Calibration:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Calibration":
+        """Calibration from its document; mu and sigma that would give nan or
+        finite-looking wrong scores are a ConfigError naming the field."""
+        layout = tuple((int(t), int(s)) for t, s in d["layout"])
+        mu, sigma = (np.asarray(d[name], dtype=float) for name in ("mu", "sigma"))
+        for name, values in (("mu", mu), ("sigma", sigma)):
+            if values.shape != (len(layout),):
+                raise ConfigError(
+                    f"calibration invalid at {name}: "
+                    f"{values.size} values for {len(layout)} layout entries"
+                )
+            for i, v in enumerate(values):
+                # sigma 0 is a constant coordinate, floored at SIGMA_FLOOR
+                if not np.isfinite(v) or (name == "sigma" and v < 0):
+                    rule = "finite and >= 0" if name == "sigma" else "finite"
+                    raise ConfigError(f"calibration invalid at {name}/{i}: {v} must be {rule}")
         return cls(
             metric=d["metric"],
             timesteps=tuple(int(t) for t in d["timesteps"]),
             aggregation=d["aggregation"],
-            mu=np.asarray(d["mu"], dtype=float),
-            sigma=np.asarray(d["sigma"], dtype=float),
-            layout=tuple((int(t), int(s)) for t, s in d["layout"]),
+            mu=mu,
+            sigma=sigma,
+            layout=layout,
             n_train=int(d["n_train"]),
             config_hash=d.get("config_hash", ""),
         )
@@ -158,17 +186,13 @@ def config_hash(model_desc, schedule: NoiseSchedule, config: FeatureConfig, metr
 # -- feature extraction ---------------------------------------------------
 
 
-def _retry_repetition(denoiser, x, sigma, t, rep, config, seed, sample_id):
-    """Feature of one repetition on its fresh retry streams."""
-    z = gaussian_vec(RngStream(seed, (sample_id, t, rep, LANE_NOISE_RETRY)), x.shape[0], sigma)
-    result = subspace_iteration(
-        denoiser,
-        x + z,
-        sigma,
-        config.spectral,
-        rng=RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL_RETRY)),
+def _noisy_points(x, sigma, t, reps, seed, sample_id, lane=LANE_NOISE):
+    """x + sigma z for each repetition in reps, z from its (sample, t, rep, lane) stream."""
+    d = x.shape[0]
+    zs = np.stack(
+        [gaussian_vec(RngStream(seed, (sample_id, t, rep, lane)), d, sigma) for rep in reps]
     )
-    return float(np.sum(result.eigenvalues[: config.top_k]))
+    return x[None, :] + zs
 
 
 def eigen_feature(
@@ -186,40 +210,36 @@ def eigen_feature(
     the result does not depend on evaluation order.  A repetition whose
     orthonormalization collapses is retried once on a fresh stream and
     otherwise imputed with the median of the successful repetitions.
+    The feature also carries each timestep's leading eigenvector
+    (`EigenFeature.components`).
     """
     x = np.asarray(x, dtype=float)
     timesteps = validate_timesteps(schedule, config.timesteps)
-    spectral = config.spectral
-    if spectral.top_k != config.top_k:
-        spectral = replace(spectral, top_k=config.top_k)
-    cfg = replace(config, spectral=spectral)
-
+    reps = range(config.n_reps)
     raw = np.empty((len(timesteps), config.n_reps))
+    components = np.empty((len(timesteps), x.shape[0]))
     for ti, t in enumerate(timesteps):
         sigma = sigma_at(schedule, t)
         # all repetitions of this timestep share each denoiser call; every
         # row still follows its own (sample, t, rep)-keyed streams
-        x_ts = _noisy_points(x, sigma, t, config.n_reps, seed, sample_id)
-        rngs = [
-            RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL))
-            for rep in range(config.n_reps)
-        ]
-        outcomes = subspace_iteration_batch(denoiser, x_ts, sigma, cfg.spectral, rngs)
+        x_ts = _noisy_points(x, sigma, t, reps, seed, sample_id)
+        rngs = [RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL)) for rep in reps]
+        results = subspace_iteration_batch(denoiser, x_ts, sigma, config.spectral, rngs)
         failed: list[int] = []
-        for rep, out in enumerate(outcomes):
+        for rep, out in enumerate(results):
             if isinstance(out, RankDeficientError):
+                (x_t,) = _noisy_points(x, sigma, t, (rep,), seed, sample_id, LANE_NOISE_RETRY)
+                rng = RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL_RETRY))
                 try:
-                    raw[ti, rep] = _retry_repetition(
-                        denoiser, x, sigma, t, rep, cfg, seed, sample_id
-                    )
-                    log.warning(
-                        "sample %d t=%d rep %d: rank-deficient subspace, retry succeeded",
-                        sample_id, t, rep,
-                    )
+                    out = results[rep] = subspace_iteration(denoiser, x_t, sigma, config.spectral, rng)
                 except RankDeficientError:
                     failed.append(rep)
-            else:
-                raw[ti, rep] = float(np.sum(out.eigenvalues[: config.top_k]))
+                    continue
+                log.warning(
+                    "sample %d t=%d rep %d: rank-deficient subspace, retry succeeded",
+                    sample_id, t, rep,
+                )
+            raw[ti, rep] = float(np.sum(out.eigenvalues))
         if failed:
             ok = np.delete(raw[ti], failed)
             if ok.size == 0:
@@ -231,7 +251,10 @@ def eigen_feature(
                 "sample %d t=%d: %d repetition(s) imputed with the median",
                 sample_id, t, len(failed),
             )
-    return _aggregate(raw, timesteps, config.aggregation, config.n_reps, sample_id)
+        first = next(r for r in results if not isinstance(r, RankDeficientError))
+        components[ti] = first.eigenvectors[:, 0]
+    feature = _aggregate(raw, timesteps, config.aggregation, config.n_reps, sample_id)
+    return replace(feature, components=components)
 
 
 def _aggregate(raw, timesteps, aggregation, n_reps, sample_id) -> EigenFeature:
@@ -404,17 +427,6 @@ def tune(
 # -- baseline scores ------------------------------------------------------
 
 
-def _noisy_points(x, sigma, t, n_reps, seed, sample_id):
-    d = x.shape[0]
-    zs = np.stack(
-        [
-            gaussian_vec(RngStream(seed, (sample_id, t, i, LANE_NOISE)), d, sigma)
-            for i in range(n_reps)
-        ]
-    )
-    return x[None, :] + zs
-
-
 def mse_score(denoiser, x, schedule, timesteps, n_reps, seed, sample_id: int = 0) -> float:
     """Mean squared denoising error over timesteps and repetitions."""
     x = np.asarray(x, dtype=float)
@@ -423,7 +435,7 @@ def mse_score(denoiser, x, schedule, timesteps, n_reps, seed, sample_id: int = 0
     ts = validate_timesteps(schedule, timesteps)
     for t in ts:
         sigma = sigma_at(schedule, t)
-        pts = _noisy_points(x, sigma, t, n_reps, seed, sample_id)
+        pts = _noisy_points(x, sigma, t, range(n_reps), seed, sample_id)
         err = fn(pts, sigma) - x[None, :]
         total += float(np.mean(np.sum(err * err, axis=1)))
     return total / len(ts)
@@ -440,7 +452,7 @@ def score_norm(denoiser, x, schedule, timesteps, n_reps, seed, sample_id: int = 
     total = 0.0
     for t in validate_timesteps(schedule, timesteps):
         sigma = sigma_at(schedule, t)
-        pts = _noisy_points(x, sigma, t, n_reps, seed, sample_id)
+        pts = _noisy_points(x, sigma, t, range(n_reps), seed, sample_id)
         eps = (pts - fn(pts, sigma)) / sigma
         total += float(np.mean(np.sum(eps * eps, axis=1)))
     return float(np.sqrt(total))

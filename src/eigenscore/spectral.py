@@ -9,7 +9,8 @@ posterior covariance of analytic mixtures (`analytic_spectrum`) back every
 estimate in the tests.
 
 A denoiser is any object with a `denoise(x, sigma)` method or any callable
-`f(x, sigma)`, vectorized over a leading batch axis.
+`f(x, sigma)`, vectorized over a leading batch axis: n points of shape
+(n, d) in, n denoised points of shape (n, d) out.
 """
 from __future__ import annotations
 
@@ -38,7 +39,8 @@ MAX_DENSE_DIM = 4096
 class SpectralConfig:
     """Knobs for the matrix-free spectral probe.
 
-    top_k        number of leading eigenpairs (clamped to the data dim)
+    top_k        number of leading eigenpairs (clamped to the data dim);
+                 inside a FeatureConfig it is FeatureConfig.top_k
     n_iters      maximum subspace iterations
     fd_rel       finite-difference step as a fraction of sigma
     early_stop_tol  stop when every eigenvalue estimate changes by less
@@ -88,8 +90,9 @@ def _eval_batch(fn, points: np.ndarray, sigma: float) -> np.ndarray:
     points = np.asfortranarray(points)
     out = np.asarray(fn(points, sigma), dtype=float)
     if out.shape != points.shape:
-        # Fall back for denoisers that only accept single points.
-        out = np.stack([np.asarray(fn(p, sigma), dtype=float) for p in points])
+        raise DimMismatchError(
+            f"denoiser returned shape {out.shape} for points of shape {points.shape}"
+        )
     if not np.all(np.isfinite(out)):
         raise NonFiniteDenoiserOutputError(
             f"denoiser returned non-finite values at sigma={sigma}"

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from eigenscore.cli import main
+from eigenscore.gmm import GaussianMixture
+from eigenscore.rng import LANE_NOISE, LANE_SPECTRAL, RngStream, gaussian_vec
+from eigenscore.schedule import build_schedule, sigma_at
+from eigenscore.spectral import SpectralConfig, subspace_iteration
 from eigenscore.tensorio import read_tensor, write_tensor
 
 BASE_CFG = {
@@ -140,6 +144,103 @@ def test_score_json_and_components(cfg_path, tmp_path):
     vecs = read_tensor(comps)
     assert vecs.shape == (6, 2, 2)
     assert np.allclose(np.linalg.norm(vecs, axis=2), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_exported_components_equal_rep0_probe(cfg_path, tmp_path, threads):
+    # the reference is the repetition-0 probe on its own streams, written
+    # as the tensor stores it (float32)
+    data, calib, _ = run_flow(cfg_path, tmp_path)
+    comps = str(tmp_path / "comps.bin")
+    assert main(
+        [
+            "score", "--config", cfg_path, "--calibration", calib, "--data", data,
+            "--out", str(tmp_path / "s.csv"), "--export-components", comps, "--threads", threads,
+        ]
+    ) == 0
+    m = BASE_CFG["model"]
+    model = GaussianMixture(m["weights"], m["means"], m["covariances"])
+    sched = build_schedule(**BASE_CFG["schedule"])
+    want = np.zeros((6, 2, 2))
+    for sid, x in enumerate(read_tensor(data).astype(float)):
+        for ti, t in enumerate(BASE_CFG["feature"]["timesteps"]):
+            sigma = sigma_at(sched, t)
+            z = gaussian_vec(RngStream(0, (sid, t, 0, LANE_NOISE)), 2, sigma)
+            res = subspace_iteration(
+                model, x + z, sigma, SpectralConfig(top_k=2), rng=RngStream(0, (sid, t, 0, LANE_SPECTRAL))
+            )
+            want[sid, ti] = res.eigenvectors[:, 0]
+    assert np.array_equal(read_tensor(comps), want.astype(np.float32))
+
+
+def test_export_needs_eigenscore_calibration(cfg_path, tmp_path, capsys):
+    data, calib, _ = run_flow(cfg_path, tmp_path, metric="mse")
+    out = tmp_path / "x.csv"
+    code = main(
+        [
+            "score", "--config", cfg_path, "--calibration", calib, "--data", data,
+            "--out", str(out), "--export-components", str(tmp_path / "c.bin"),
+        ]
+    )
+    assert code == 2
+    assert "eigenscore calibration" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "c.bin").exists()
+
+
+def test_score_zero_rows(cfg_path, tmp_path):
+    _, calib, _ = run_flow(cfg_path, tmp_path)
+    empty = str(tmp_path / "empty.bin")
+    write_tensor(empty, np.zeros((0, 2)))
+    jout, comps = tmp_path / "s.json", tmp_path / "c.bin"
+    assert main(
+        [
+            "score", "--config", cfg_path, "--calibration", calib, "--data", empty,
+            "--out", str(tmp_path / "s.csv"), "--json-out", str(jout), "--export-components", str(comps),
+        ]
+    ) == 0
+    summary = json.loads(jout.read_text())
+    assert summary["n"] == 0
+    assert summary["mean_score"] is None and summary["min_score"] is None and summary["max_score"] is None
+    assert read_tensor(str(comps)).shape == (0, 2, 2)
+    assert (tmp_path / "s.csv").read_text() == "id,score,z_1,z_2\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("mu", lambda v: [float("nan")] + v[1:], "mu/0: nan must be finite"),
+        ("mu", lambda v: v[:1], "mu: 1 values for 2 layout entries"),
+        ("sigma", lambda v: v[:1], "sigma: 1 values for 2 layout entries"),
+        ("sigma", lambda v: [-v[0]] + v[1:], "must be finite and >= 0"),
+    ],
+    ids=["nan-mu", "short-mu", "short-sigma", "negative-sigma"],
+)
+def test_bad_calibration_is_usage_error(cfg_path, tmp_path, capsys, field, value, message):
+    data, calib, _ = run_flow(cfg_path, tmp_path)
+    doc = json.loads((tmp_path / "calib.json").read_text())
+    doc[field] = value(doc[field])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    code = main(
+        ["score", "--config", cfg_path, "--calibration", str(bad), "--data", data, "--out", str(out)]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_sigma_calibration_is_accepted(cfg_path, tmp_path):
+    # a constant coordinate has sigma 0; SIGMA_FLOOR handles it
+    data, calib, _ = run_flow(cfg_path, tmp_path)
+    doc = json.loads((tmp_path / "calib.json").read_text())
+    doc["sigma"] = [0.0] * len(doc["sigma"])
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(doc))
+    out = str(tmp_path / "x.csv")
+    assert main(
+        ["score", "--config", cfg_path, "--calibration", str(zero), "--data", data, "--out", out]
+    ) == 0
 
 
 def test_metric_conflict_is_usage_error(cfg_path, tmp_path, capsys):

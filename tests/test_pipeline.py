@@ -30,7 +30,14 @@ from eigenscore.pipeline import (
     score_norm,
     tune,
 )
-from eigenscore.rng import LANE_NOISE, LANE_SPECTRAL, RngStream, gaussian_vec
+from eigenscore.rng import (
+    LANE_NOISE,
+    LANE_NOISE_RETRY,
+    LANE_SPECTRAL,
+    LANE_SPECTRAL_RETRY,
+    RngStream,
+    gaussian_vec,
+)
 from eigenscore.schedule import build_schedule, sigma_at
 from eigenscore.spectral import SpectralConfig, subspace_iteration
 
@@ -158,6 +165,52 @@ def test_retry_recovers_from_local_rank_deficiency(caplog):
     assert any("retry succeeded" in r.message for r in caplog.records)
 
 
+def rep0_component(model, x, sched, t, seed, sid, lanes=(LANE_NOISE, LANE_SPECTRAL)):
+    """The leading eigenvector of repetition 0, probed on its own."""
+    sigma = sigma_at(sched, t)
+    z = gaussian_vec(RngStream(seed, (sid, t, 0, lanes[0])), x.shape[0], sigma)
+    res = subspace_iteration(
+        model, x + z, sigma, SpectralConfig(top_k=2), rng=RngStream(seed, (sid, t, 0, lanes[1]))
+    )
+    return res.eigenvectors[:, 0]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_components_equal_rep0_probe(threads):
+    model, sched = small_model(), small_schedule()
+    cfg = FeatureConfig(timesteps=(3, 7), top_k=2, n_reps=3)
+    xs = model.sample(RngStream(0, (0,)), 4)
+    feats = extract_features(model, xs, sched, cfg, seed=5, threads=threads)
+    for sid, (x, f) in enumerate(zip(xs, feats)):
+        want = np.stack([rep0_component(model, x, sched, t, 5, sid) for t in (3, 7)])
+        assert f.components.shape == (2, 2)
+        assert np.array_equal(f.components, want)
+
+
+def test_components_come_from_rep0_retry():
+    # repetition 0 collapses on its first attempt; its retry supplies the
+    # component
+    model, sched = small_model(), small_schedule()
+    cfg = FeatureConfig(timesteps=(5,), top_k=2, n_reps=3, aggregation="all")
+    seed, sid, t = 11, 0, 5
+    sigma = sigma_at(sched, t)
+    x = np.array([0.4, -0.2])
+    bad_center = x + gaussian_vec(RngStream(seed, (sid, t, 0, LANE_NOISE)), 2, sigma)
+
+    class Collapsing:
+        def denoise(self, pts, s):
+            out = model.denoise(pts, s)
+            out[np.linalg.norm(pts - bad_center, axis=1) < 0.1] = 0.0
+            return out
+
+    feat = eigen_feature(Collapsing(), x, sched, cfg, seed=seed, sample_id=sid)
+    retry = rep0_component(
+        Collapsing(), x, sched, t, seed, sid, lanes=(LANE_NOISE_RETRY, LANE_SPECTRAL_RETRY)
+    )
+    assert not np.array_equal(retry, rep0_component(model, x, sched, t, seed, sid))
+    assert np.array_equal(feat.components[0], retry)
+
+
 def test_all_failures_imputed_with_median(caplog):
     # collapse around both the first-attempt and the retry point of one
     # repetition; its value must equal the median of the others
@@ -166,8 +219,6 @@ def test_all_failures_imputed_with_median(caplog):
     seed, sid, t, rep = 11, 0, 5, 1
     sigma = sigma_at(sched, t)
     x = np.array([0.4, -0.2])
-    from eigenscore.rng import LANE_NOISE_RETRY
-
     centers = [
         x + gaussian_vec(RngStream(seed, (sid, t, rep, lane)), 2, sigma)
         for lane in (LANE_NOISE, LANE_NOISE_RETRY)
@@ -465,3 +516,11 @@ def test_feature_config_validates():
         FeatureConfig(timesteps=(1,), aggregation="max")
     with pytest.raises(BadRangeError):
         FeatureConfig(timesteps=(1,), n_reps=0)
+
+
+def test_feature_config_owns_top_k():
+    spectral = SpectralConfig()
+    cfg = FeatureConfig(timesteps=(1,), top_k=2, spectral=spectral)
+    assert cfg.spectral.top_k == 2
+    assert spectral.top_k == 3 and cfg.spectral is not spectral
+    assert FeatureConfig(timesteps=(1,), top_k=5).spectral.top_k == 5

@@ -165,6 +165,20 @@ def test_subspace_propagates_non_finite_denoiser():
         )
 
 
+def test_wrong_output_shape_is_dim_mismatch():
+    # a denoiser that returns one point's shape for a whole batch is an
+    # error naming both shapes, not a cue to call it point by point
+    lin = LinearDenoiser(np.diag([2.0, 1.0]))
+
+    def single_point(x, sigma):
+        return lin.denoise(np.asarray(x)[0], sigma)
+
+    with pytest.raises(DimMismatchError, match=r"shape \(2,\) for points of shape \(4, 2\)"):
+        subspace_iteration(
+            single_point, np.zeros(2), 1.0, SpectralConfig(top_k=2, n_iters=2), rng=RngStream(0)
+        )
+
+
 def random_mixture(d, m, seed):
     gen = np.random.default_rng(seed)
     covs = []
