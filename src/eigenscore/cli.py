@@ -101,6 +101,17 @@ def _metric_features(metric, model, xs, schedule, fcfg, seed, threads):
     return feats
 
 
+def _read_rows(path, what):
+    """The 2-d data tensor at path, as float, with every entry finite."""
+    xs = read_tensor(path).astype(float)
+    if xs.ndim != 2:
+        raise TensorFormatError(f"{what} data must be 2-d, got shape {xs.shape}")
+    bad = np.flatnonzero(~np.isfinite(xs).all(axis=1))
+    if bad.size:
+        raise TensorFormatError(f"{path}: row {bad[0]} has a non-finite entry")
+    return xs
+
+
 def _load_inputs(args):
     cfg = cfgmod.load_config(args.config)
     model = cfgmod.model_from_config(cfg)
@@ -132,9 +143,7 @@ def cmd_train(args) -> int:
     cfg = cfgmod.load_config(args.config)
     schedule = cfgmod.schedule_from_config(cfg)
     tcfg, hidden = cfgmod.train_config_from_config(cfg)
-    data = read_tensor(args.data).astype(float)
-    if data.ndim != 2:
-        raise TensorFormatError(f"training data must be 2-d, got shape {data.shape}")
+    data = _read_rows(args.data, "training")
     net = MlpDenoiser(data.shape[1], hidden=hidden, seed=tcfg.seed)
     losses = net.train(data, schedule, tcfg)
     net.save(args.out, train_config=tcfg)
@@ -148,9 +157,7 @@ def cmd_train(args) -> int:
 def cmd_fit(args) -> int:
     cfg, model, schedule, fcfg, seed = _load_inputs(args)
     metric = args.metric
-    xs = read_tensor(args.data).astype(float)
-    if xs.ndim != 2:
-        raise TensorFormatError(f"fit data must be 2-d, got shape {xs.shape}")
+    xs = _read_rows(args.data, "fit")
     threads = _thread_count(args)
     feats = _metric_features(metric, model, xs, schedule, fcfg, seed, threads)
     agg = fcfg.aggregation if metric == "eigenscore" else "mean"
@@ -183,15 +190,10 @@ def cmd_score(args) -> int:
             "calibration was fit under a different configuration "
             "(hash %s, current %s)", calib.config_hash, expected_hash,
         )
-    xs = read_tensor(args.data).astype(float)
-    if xs.ndim != 2:
-        raise TensorFormatError(f"score data must be 2-d, got shape {xs.shape}")
+    xs = _read_rows(args.data, "score")
     threads = _thread_count(args)
-    if calib.metric == "eigenscore":
-        run_cfg = replace(fcfg, timesteps=calib.timesteps, aggregation=calib.aggregation)
-        feats = extract_features(model, xs, schedule, run_cfg, seed, threads=threads)
-    else:
-        feats = _metric_features(calib.metric, model, xs, schedule, fcfg, seed, threads)
+    run_cfg = replace(fcfg, timesteps=calib.timesteps, aggregation=calib.aggregation)
+    feats = _metric_features(calib.metric, model, xs, schedule, run_cfg, seed, threads)
     records = [eigen_score(f, calib) for f in feats]
 
     buf = io.StringIO()

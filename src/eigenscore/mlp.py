@@ -5,19 +5,25 @@ backward, and the Adam update are written out in numpy so the gradient can
 be checked against finite differences; training is sequential and
 deterministic given (dataset, config, seed).
 
+All parameters live in one float64 vector, `MlpDenoiser.params`: layer by
+layer, W (row-major, shape out x in) then b.  `weights` and `biases` are
+tuples of views into it, so no entry can be rebound away from it; gradients
+and Adam moments share its layout.
+
 Checkpoint format: magic "MLPD", then little-endian u32 version, u32 layer
-count L, L+1 u32 layer widths, followed by float64 parameters in layer
-order, each layer as W (row-major, shape out x in) then b.  A JSON sidecar
-with the architecture and training config is written next to it.
+count L, L+1 u32 layer widths, followed by the parameter vector as
+little-endian float64 in the same order.  A JSON sidecar with the
+architecture and training config is written next to it.
 """
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import tensorio
 from .errors import (
     BadRangeError,
     CheckpointFormatError,
@@ -49,6 +55,21 @@ class TrainConfig:
         return asdict(self)
 
 
+def _param_count(widths) -> int:
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(widths[:-1], widths[1:]))
+
+
+def _layer_views(widths, vec: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per-layer (W, b) views of a vector laid out like `MlpDenoiser.params`."""
+    ws, bs, offset = [], [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        end = offset + fan_out * fan_in
+        ws.append(vec[offset:end].reshape(fan_out, fan_in))
+        bs.append(vec[end:end + fan_out])
+        offset = end + fan_out
+    return tuple(ws), tuple(bs)
+
+
 class MlpDenoiser:
     """tanh MLP denoiser conditioned on log sigma.
 
@@ -61,22 +82,23 @@ class MlpDenoiser:
             raise BadRangeError(f"dim must be >= 1, got {dim}")
         if any(h < 1 for h in hidden):
             raise BadRangeError(f"hidden widths must be >= 1, got {hidden}")
-        self.dim = int(dim)
-        self.widths = (self.dim + 1, *map(int, hidden), self.dim)
+        widths = (int(dim) + 1, *map(int, hidden), int(dim))
+        self._bind(widths, np.zeros(_param_count(widths)))
         gen = RngStream(seed, (LANE_TRAIN, 0)).generator()
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(self.widths[:-1], self.widths[1:]):
-            scale = np.sqrt(2.0 / (fan_in + fan_out))
-            self.weights.append(scale * gen.standard_normal((fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out))
+        for w in self.weights:
+            w[...] = np.sqrt(2.0 / sum(w.shape)) * gen.standard_normal(w.shape)
+
+    def _bind(self, widths, params: np.ndarray) -> None:
+        self.dim = widths[-1]
+        self.widths = tuple(widths)
+        self.params = params
+        self.weights, self.biases = _layer_views(self.widths, params)
 
     # -- forward ----------------------------------------------------------
 
     def _check_params(self) -> None:
-        for arr in (*self.weights, *self.biases):
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteParametersError("parameters contain non-finite values")
+        if not np.all(np.isfinite(self.params)):
+            raise NonFiniteParametersError("parameters contain non-finite values")
 
     def _features(self, x2: np.ndarray, sigma) -> np.ndarray:
         logs = np.log(np.broadcast_to(np.asarray(sigma, dtype=float), (x2.shape[0],)))
@@ -113,22 +135,22 @@ class MlpDenoiser:
     # -- loss and gradients ----------------------------------------------
 
     def loss_and_grads(self, x_t: np.ndarray, sigma: np.ndarray, target: np.ndarray):
-        """Mean over the batch of ||target - out||^2, plus parameter grads."""
+        """Mean over the batch of ||target - out||^2, and its gradient laid out like `params`."""
         feats = self._features(np.asarray(x_t, dtype=float), sigma)
         out, acts = self._forward(feats)
         err = out - np.asarray(target, dtype=float)
         n = x_t.shape[0]
         loss = float(np.sum(err * err) / n)
-        grad_w = [np.empty_like(w) for w in self.weights]
-        grad_b = [np.empty_like(b) for b in self.biases]
+        grads = np.empty_like(self.params)
+        grad_w, grad_b = _layer_views(self.widths, grads)
         delta = 2.0 * err / n
         for i in range(len(self.weights) - 1, -1, -1):
-            grad_w[i] = delta.T @ acts[i]
-            grad_b[i] = delta.sum(axis=0)
+            np.matmul(delta.T, acts[i], out=grad_w[i])
+            delta.sum(axis=0, out=grad_b[i])
             if i > 0:
                 # acts[i] holds tanh output of layer i for i < last layer
                 delta = (delta @ self.weights[i]) * (1.0 - acts[i] * acts[i])
-        return loss, grad_w, grad_b
+        return loss, grads
 
     def train(self, data: np.ndarray, schedule: NoiseSchedule, config: TrainConfig) -> list[float]:
         """Minimize the denoising objective; returns the per-step loss trace.
@@ -149,10 +171,9 @@ class MlpDenoiser:
 
         gen = RngStream(config.seed, (LANE_TRAIN, 1)).generator()
         n = x.shape[0]
-        m_w = [np.zeros_like(w) for w in self.weights]
-        v_w = [np.zeros_like(w) for w in self.weights]
-        m_b = [np.zeros_like(b) for b in self.biases]
-        v_b = [np.zeros_like(b) for b in self.biases]
+        p = self.params
+        m = np.zeros_like(p)
+        v = np.zeros_like(p)
         b1, b2, eps, lr = config.beta1, config.beta2, config.eps, config.lr
         trace: list[float] = []
         for step in range(1, config.steps + 1):
@@ -161,22 +182,17 @@ class MlpDenoiser:
             sig = schedule.sigmas[t - 1]
             clean = x[idx]
             noisy = clean + sig[:, None] * gen.standard_normal((config.batch_size, self.dim))
-            loss, grad_w, grad_b = self.loss_and_grads(noisy, sig, clean)
+            loss, g = self.loss_and_grads(noisy, sig, clean)
             if not np.isfinite(loss):
                 raise DivergedLossError(f"loss became non-finite at step {step}")
             trace.append(loss)
             c1 = 1.0 - b1**step
             c2 = 1.0 - b2**step
-            for params, grads, ms, vs in (
-                (self.weights, grad_w, m_w, v_w),
-                (self.biases, grad_b, m_b, v_b),
-            ):
-                for p, g, m, v in zip(params, grads, ms, vs):
-                    m *= b1
-                    m += (1.0 - b1) * g
-                    v *= b2
-                    v += (1.0 - b2) * g * g
-                    p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
             if config.log_every and step % config.log_every == 0:
                 recent = trace[-config.log_every:]
                 print(f"step {step}: loss {np.mean(recent):.6f}")
@@ -186,15 +202,8 @@ class MlpDenoiser:
 
     def save(self, path, train_config: TrainConfig | None = None) -> None:
         self._check_params()
-        parts = [CKPT_MAGIC, struct.pack("<I", CKPT_VERSION)]
-        parts.append(struct.pack("<I", len(self.weights)))
-        parts.append(struct.pack(f"<{len(self.widths)}I", *self.widths))
-        for w, b in zip(self.weights, self.biases):
-            parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-        from .tensorio import atomic_write_bytes, atomic_write_text
-
-        atomic_write_bytes(path, b"".join(parts))
+        header = struct.pack(f"<II{len(self.widths)}I", CKPT_VERSION, len(self.weights), *self.widths)
+        tensorio.atomic_write_bytes(path, CKPT_MAGIC + header + self.params.astype("<f8").tobytes())
         sidecar = {
             "widths": list(self.widths),
             "hidden": list(self.widths[1:-1]),
@@ -203,7 +212,7 @@ class MlpDenoiser:
             "input": "x_t concatenated with log sigma",
             "train": train_config.to_dict() if train_config else None,
         }
-        atomic_write_text(str(path) + ".json", json.dumps(sidecar, indent=2) + "\n")
+        tensorio.atomic_write_text(str(path) + ".json", json.dumps(sidecar, indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "MlpDenoiser":
@@ -211,33 +220,23 @@ class MlpDenoiser:
             blob = fh.read()
         if blob[:4] != CKPT_MAGIC:
             raise CheckpointFormatError(f"bad magic {blob[:4]!r}, expected {CKPT_MAGIC!r}")
-        (version,) = struct.unpack_from("<I", blob, 4)
+        if len(blob) < 12:
+            raise CheckpointFormatError("checkpoint truncated")
+        version, n_layers = struct.unpack_from("<II", blob, 4)
         if version != CKPT_VERSION:
             raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-        (n_layers,) = struct.unpack_from("<I", blob, 8)
-        widths = struct.unpack_from(f"<{n_layers + 1}I", blob, 12)
-        model = cls.__new__(cls)
-        model.dim = widths[-1]
-        model.widths = tuple(widths)
-        if widths[0] != model.dim + 1:
-            raise CheckpointFormatError(
-                f"input width {widths[0]} does not match output dim {model.dim} + 1"
-            )
         offset = 12 + 4 * (n_layers + 1)
-        model.weights, model.biases = [], []
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            for shape in ((fan_out, fan_in), (fan_out,)):
-                count = int(np.prod(shape))
-                end = offset + 8 * count
-                if end > len(blob):
-                    raise CheckpointFormatError("checkpoint truncated")
-                arr = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
-                offset = end
-                if len(shape) == 2:
-                    model.weights.append(arr)
-                else:
-                    model.biases.append(arr)
-        if offset != len(blob):
-            raise CheckpointFormatError("checkpoint has trailing bytes")
+        if len(blob) < offset:
+            raise CheckpointFormatError("checkpoint truncated")
+        widths = struct.unpack_from(f"<{n_layers + 1}I", blob, 12)
+        if widths[0] != widths[-1] + 1:
+            raise CheckpointFormatError(f"input width {widths[0]} does not match output dim {widths[-1]} + 1")
+        extra = len(blob) - offset - 8 * _param_count(widths)
+        if extra:
+            raise CheckpointFormatError(
+                "checkpoint truncated" if extra < 0 else "checkpoint has trailing bytes"
+            )
+        model = cls.__new__(cls)
+        model._bind(widths, np.frombuffer(blob, dtype="<f8", offset=offset).astype(float))
         model._check_params()
         return model

@@ -134,8 +134,12 @@ class Calibration:
         """Calibration from its document; mu and sigma that would give nan or
         finite-looking wrong scores are a ConfigError naming the field."""
         layout = tuple((int(t), int(s)) for t, s in d["layout"])
-        mu, sigma = (np.asarray(d[name], dtype=float) for name in ("mu", "sigma"))
-        for name, values in (("mu", mu), ("sigma", sigma)):
+        fields = {}
+        for name in ("mu", "sigma"):
+            try:
+                values = fields[name] = np.asarray(d[name], dtype=float)
+            except OverflowError:
+                raise ConfigError(f"calibration invalid at {name}: integer beyond float range") from None
             if values.shape != (len(layout),):
                 raise ConfigError(
                     f"calibration invalid at {name}: "
@@ -150,8 +154,8 @@ class Calibration:
             metric=d["metric"],
             timesteps=tuple(int(t) for t in d["timesteps"]),
             aggregation=d["aggregation"],
-            mu=mu,
-            sigma=sigma,
+            mu=fields["mu"],
+            sigma=fields["sigma"],
             layout=layout,
             n_train=int(d["n_train"]),
             config_hash=d.get("config_hash", ""),

@@ -290,23 +290,14 @@ def verify_kl(seed: int = 0) -> list[VerifyCheck]:
     return checks
 
 
-def _fd_score_hessian(model, x, sigma, h):
-    d = x.shape[0]
-    hess = np.empty((d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        hess[:, j] = (model.score(x + e, sigma) - model.score(x - e, sigma)) / (2.0 * h)
-    return 0.5 * (hess + hess.T)
-
-
-def _fd_denoise_jacobian(model, x, sigma, h):
+def _fd_jacobian(f, x, h):
+    """Central-difference Jacobian of f at x, one column per coordinate."""
     d = x.shape[0]
     jac = np.empty((d, d))
     for j in range(d):
         e = np.zeros(d)
         e[j] = h
-        jac[:, j] = (model.denoise(x + e, sigma) - model.denoise(x - e, sigma)) / (2.0 * h)
+        jac[:, j] = (f(x + e) - f(x - e)) / (2.0 * h)
     return jac
 
 
@@ -344,11 +335,12 @@ def verify_posterior_identities(seed: int = 0) -> list[VerifyCheck]:
         worst_assembly = max(worst_assembly, float(assembly_gap))
 
         h = 1e-4 * max(1.0, float(np.max(np.abs(x_t))))
-        hess = _fd_score_hessian(model, x_t, sigma, h)
+        hess = _fd_jacobian(lambda y: model.score(y, sigma), x_t, h)
+        hess = 0.5 * (hess + hess.T)
         cov_from_score = s2 * (np.eye(d) + s2 * hess)
         worst_hess = max(worst_hess, float(np.max(np.abs(cov_from_score - stats.cov))))
 
-        jac = _fd_denoise_jacobian(model, x_t, sigma, h)
+        jac = _fd_jacobian(lambda y: model.denoise(y, sigma), x_t, h)
         cov_from_jac = s2 * 0.5 * (jac + jac.T)
         worst_jac = max(worst_jac, float(np.max(np.abs(cov_from_jac - stats.cov))))
     return [

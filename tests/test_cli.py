@@ -212,8 +212,10 @@ def test_score_zero_rows(cfg_path, tmp_path):
         ("mu", lambda v: v[:1], "mu: 1 values for 2 layout entries"),
         ("sigma", lambda v: v[:1], "sigma: 1 values for 2 layout entries"),
         ("sigma", lambda v: [-v[0]] + v[1:], "must be finite and >= 0"),
+        ("mu", lambda v: [10**400] + v[1:], "mu: integer beyond float range"),
+        ("sigma", lambda v: v[:1] + [-(10**400)], "sigma: integer beyond float range"),
     ],
-    ids=["nan-mu", "short-mu", "short-sigma", "negative-sigma"],
+    ids=["nan-mu", "short-mu", "short-sigma", "negative-sigma", "huge-int-mu", "huge-int-sigma"],
 )
 def test_bad_calibration_is_usage_error(cfg_path, tmp_path, capsys, field, value, message):
     data, calib, _ = run_flow(cfg_path, tmp_path)
@@ -269,6 +271,37 @@ def test_config_hash_mismatch_warns(cfg_path, tmp_path, caplog):
         )
     assert code == 0
     assert any("different configuration" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("metric", ["mse", "score-norm", "eigenscore"])
+def test_score_takes_timesteps_from_calibration(cfg_path, tmp_path, metric):
+    # config_hash does not cover timesteps, so a changed config must not
+    # change which timesteps a calibration is scored at
+    data, calib, scores = run_flow(cfg_path, tmp_path, metric=metric)
+    other_cfg = make_cfg(tmp_path, feature={"timesteps": [11]})
+    other = tmp_path / "other.csv"
+    assert main(
+        ["score", "--config", other_cfg, "--calibration", calib, "--data", data, "--out", str(other)]
+    ) == 0
+    assert other.read_bytes() == (tmp_path / "scores.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["train", "fit", "score"])
+def test_non_finite_data_is_format_error(cfg_path, tmp_path, capsys, command):
+    data, calib, _ = run_flow(cfg_path, tmp_path)
+    rows = read_tensor(data)
+    rows[2, 1] = np.nan
+    rows[4, 0] = np.inf
+    bad = str(tmp_path / "bad.bin")
+    write_tensor(bad, rows)
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg_path, "--data", bad, "--out", str(out)]
+    if command == "score":
+        argv += ["--calibration", calib]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "bad.bin: row 2 has a non-finite entry" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mse_metric_flow_and_eval(cfg_path, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from eigenscore.errors import (
     EmptyDatasetError,
     NonFiniteParametersError,
 )
-from eigenscore.mlp import CKPT_MAGIC, MlpDenoiser, TrainConfig
+from eigenscore.mlp import CKPT_MAGIC, MlpDenoiser, TrainConfig, _layer_views
 from eigenscore.schedule import build_schedule
 
 
@@ -72,7 +74,9 @@ def test_gradients_match_finite_differences():
     x_t = gen.standard_normal((6, 2))
     sigma = np.full(6, 0.9)
     target = gen.standard_normal((6, 2))
-    loss, grad_w, grad_b = net.loss_and_grads(x_t, sigma, target)
+    loss, grads = net.loss_and_grads(x_t, sigma, target)
+    assert grads.shape == net.params.shape
+    grad_w, grad_b = _layer_views(net.widths, grads)
 
     def loss_at():
         out = net.forward(x_t, sigma)
@@ -133,6 +137,49 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert sidecar.exists()
 
 
+def test_trained_checkpoint_bytes_pinned(tmp_path):
+    # recorded before the parameters moved into one vector; Adam's elementwise
+    # update and the payload order must keep every bit (x86-64, OpenBLAS)
+    sched = build_schedule("geometric", 0.1, 2.0, 16)
+    data = np.random.default_rng(1).standard_normal((64, 2))
+    net = tiny_net()
+    net.train(data, sched, TrainConfig(steps=40, batch_size=16, lr=3e-3, seed=4))
+    path = tmp_path / "net.ckpt"
+    net.save(path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "3cfe1353baf9820a97cc89b5d577f7c77f63526b9e80e0941a02c93c76ef1187"
+
+
+def test_params_vector_is_the_checkpoint_payload(tmp_path):
+    net = tiny_net()
+    path = tmp_path / "net.ckpt"
+    net.save(path)
+    loaded = MlpDenoiser.load(path)
+    header = 12 + 4 * len(net.widths)
+    for model in (net, loaded):
+        assert model.params.dtype == np.float64 and model.params.ndim == 1
+        for arr in (*model.weights, *model.biases):
+            assert np.shares_memory(arr, model.params)
+        flat = [a.ravel() for w, b in zip(model.weights, model.biases) for a in (w, b)]
+        assert np.array_equal(np.concatenate(flat), model.params)
+        assert model.params.astype("<f8").tobytes() == path.read_bytes()[header:]
+
+
+def test_weights_cannot_be_rebound():
+    net = tiny_net()
+    with pytest.raises(TypeError):
+        net.weights[0] = np.zeros((5, 3))
+    with pytest.raises(TypeError):
+        net.biases[0] = np.zeros(5)
+
+
+def test_checkpoint_short_header(tmp_path):
+    path = tmp_path / "short.ckpt"
+    path.write_bytes(CKPT_MAGIC + b"\x01\x00")
+    with pytest.raises(CheckpointFormatError, match="truncated"):
+        MlpDenoiser.load(path)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"XXXX" + bytes(32))
@@ -146,7 +193,7 @@ def test_checkpoint_truncated(tmp_path):
     net.save(path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointFormatError, match="truncated"):
         MlpDenoiser.load(path)
 
 
@@ -155,7 +202,7 @@ def test_checkpoint_trailing_bytes(tmp_path):
     path = tmp_path / "net.ckpt"
     net.save(path)
     path.write_bytes(path.read_bytes() + b"\0" * 8)
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointFormatError, match="trailing bytes"):
         MlpDenoiser.load(path)
 
 
