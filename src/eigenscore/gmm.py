@@ -29,6 +29,10 @@ from .rng import RngStream
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+# Per-sigma factors kept by a mixture before its cache is emptied; at d=64
+# with 8 components an entry holds about 0.8 MB.
+SIGMA_CACHE_MAX = 32
+
 
 def logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
     """log(sum(exp(a))) along one axis, bit-identical to scipy.special.logsumexp.
@@ -182,6 +186,11 @@ class GaussianMixture:
             - 0.5 * np.sum(np.log(lifted), axis=1)
         )
         out = (inv_t, gain, postcov, lognorm)
+        if len(self._sigma_cache) >= SIGMA_CACHE_MAX:
+            # entries are pure functions of sigma, so emptying the cache
+            # changes no output; clear() never iterates the dict that the
+            # threads sharing this model may be filling
+            self._sigma_cache.clear()
         self._sigma_cache[key] = out
         return out
 

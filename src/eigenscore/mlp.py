@@ -229,6 +229,9 @@ class MlpDenoiser:
         if len(blob) < offset:
             raise CheckpointFormatError("checkpoint truncated")
         widths = struct.unpack_from(f"<{n_layers + 1}I", blob, 12)
+        if min(widths) < 1:
+            # a zero-width layer would load as a denoiser that ignores its input
+            raise CheckpointFormatError(f"layer widths {list(widths)} must all be >= 1")
         if widths[0] != widths[-1] + 1:
             raise CheckpointFormatError(f"input width {widths[0]} does not match output dim {widths[-1]} + 1")
         extra = len(blob) - offset - 8 * _param_count(widths)

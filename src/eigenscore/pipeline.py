@@ -211,24 +211,33 @@ def eigen_feature(
 
     Per (timestep, repetition) the noise draw and the spectral starting
     directions come from streams keyed by (sample_id, t, repetition), so
-    the result does not depend on evaluation order.  A repetition whose
-    orthonormalization collapses is retried once on a fresh stream and
-    otherwise imputed with the median of the successful repetitions.
+    the result does not depend on evaluation order.  All (timestep,
+    repetition) rows run as one `subspace_iteration_batch` call.  A
+    repetition whose orthonormalization collapses is retried once on a
+    fresh stream and otherwise imputed with the median of the successful
+    repetitions.
     The feature also carries each timestep's leading eigenvector
     (`EigenFeature.components`).
     """
     x = np.asarray(x, dtype=float)
     timesteps = validate_timesteps(schedule, config.timesteps)
-    reps = range(config.n_reps)
-    raw = np.empty((len(timesteps), config.n_reps))
+    n_reps = config.n_reps
+    reps = range(n_reps)
+    sigmas = [sigma_at(schedule, t) for t in timesteps]
+    # every (timestep, repetition) row shares one probe, timestep-major, so
+    # each denoiser call covers one timestep's active rows; every row still
+    # follows its own (sample, t, rep)-keyed streams
+    x_ts = np.concatenate(
+        [_noisy_points(x, sigma, t, reps, seed, sample_id) for t, sigma in zip(timesteps, sigmas)]
+    )
+    rngs = [RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL)) for t in timesteps for rep in reps]
+    all_results = subspace_iteration_batch(
+        denoiser, x_ts, np.repeat(sigmas, n_reps), config.spectral, rngs
+    )
+    raw = np.empty((len(timesteps), n_reps))
     components = np.empty((len(timesteps), x.shape[0]))
-    for ti, t in enumerate(timesteps):
-        sigma = sigma_at(schedule, t)
-        # all repetitions of this timestep share each denoiser call; every
-        # row still follows its own (sample, t, rep)-keyed streams
-        x_ts = _noisy_points(x, sigma, t, reps, seed, sample_id)
-        rngs = [RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL)) for rep in reps]
-        results = subspace_iteration_batch(denoiser, x_ts, sigma, config.spectral, rngs)
+    for ti, (t, sigma) in enumerate(zip(timesteps, sigmas)):
+        results = all_results[ti * n_reps : (ti + 1) * n_reps]
         failed: list[int] = []
         for rep, out in enumerate(results):
             if isinstance(out, RankDeficientError):
@@ -248,7 +257,7 @@ def eigen_feature(
             ok = np.delete(raw[ti], failed)
             if ok.size == 0:
                 raise RankDeficientError(
-                    f"all {config.n_reps} repetitions failed at t={t}"
+                    f"all {n_reps} repetitions failed at t={t}"
                 )
             raw[ti, failed] = np.median(ok)
             log.warning(
@@ -257,7 +266,7 @@ def eigen_feature(
             )
         first = next(r for r in results if not isinstance(r, RankDeficientError))
         components[ti] = first.eigenvectors[:, 0]
-    feature = _aggregate(raw, timesteps, config.aggregation, config.n_reps, sample_id)
+    feature = _aggregate(raw, timesteps, config.aggregation, n_reps, sample_id)
     return replace(feature, components=components)
 
 

@@ -10,7 +10,10 @@ estimate in the tests.
 
 A denoiser is any object with a `denoise(x, sigma)` method or any callable
 `f(x, sigma)`, vectorized over a leading batch axis: n points of shape
-(n, d) in, n denoised points of shape (n, d) out.
+(n, d) in, n denoised points of shape (n, d) out, all at the one float
+noise level sigma.  The batch engine takes a noise level per row, so all
+timesteps of a sample share one sweep loop; it calls the denoiser once per
+run of consecutive rows with equal sigma.
 """
 from __future__ import annotations
 
@@ -131,31 +134,38 @@ def jvp(denoiser, x_t: np.ndarray, sigma: float, v: np.ndarray, c: float) -> np.
     return (out[0] - out[1]) / (2.0 * c)
 
 
-def _jvp_stack(fn, x_ts: np.ndarray, sigma: float, cols: np.ndarray, c: float) -> np.ndarray:
-    """Finite-difference Jacobian products for a stack of rows in one evaluation.
+def _jvp_stack(fn, x_ts: np.ndarray, cols: np.ndarray, c: np.ndarray, runs: list) -> np.ndarray:
+    """Finite-difference Jacobian products for a stack of rows.
 
-    x_ts is (n, d) and cols (n, d, k); returns the (n, d, k) products.
-    The products' memory layout is picked from the denoiser output's layout
-    alone, never from n, so a row's bits do not depend on how many rows
-    share its call: numpy sums a contiguous axis pairwise and a strided one
-    in sequence, so the norms taken later round alike only if every row
+    x_ts is (n, d), cols (n, d, k) and c (n,), row r's step.  runs lists
+    (start, stop, sigma) for the ranges of rows at one noise level; the
+    denoiser is called once per run, on that run's contiguous slice of the
+    finite-difference points.  Returns the (n, d, k) products.
+    The products' memory layout is picked from the first call's output
+    layout alone, never from n, so a row's bits do not depend on how many
+    rows share its call: numpy sums a contiguous axis pairwise and a strided
+    one in sequence, so the norms taken later round alike only if every row
     keeps one layout.
     """
     n, d, k = cols.shape
+    c = c[:, None, None]
     step = c * np.swapaxes(cols, 1, 2)
     x = x_ts[:, None, :]
     pts = np.concatenate([x + step, x - step], axis=1).reshape(n * 2 * k, d)
-    out = _eval_batch(fn, pts, sigma)
-    # numpy's default layout for the difference follows the output's, which
-    # for Fortran-ordered output interleaves the rows: a row's d-axis stride
-    # would then change with n.  Every row gets the layout a lone row's
-    # default has.
-    if k > 1 and abs(out.strides[0]) < abs(out.strides[1]):
-        products = np.empty((n, d, k))
-    else:
-        products = np.empty((n, k, d)).transpose(0, 2, 1)
-    halves = np.swapaxes(out.reshape(n, 2 * k, d), 1, 2)
-    np.subtract(halves[:, :, :k], halves[:, :, k:], out=products)
+    products = None
+    for a, b, sigma in runs:
+        out = _eval_batch(fn, pts[2 * k * a : 2 * k * b], sigma)
+        # numpy's default layout for the difference follows the output's,
+        # which for Fortran-ordered output interleaves the rows: a row's
+        # d-axis stride would then change with n.  Every row gets the layout
+        # a lone row's default has.
+        if products is None:
+            if k > 1 and abs(out.strides[0]) < abs(out.strides[1]):
+                products = np.empty((n, d, k))
+            else:
+                products = np.empty((n, k, d)).transpose(0, 2, 1)
+        halves = np.swapaxes(out.reshape(b - a, 2 * k, d), 1, 2)
+        np.subtract(halves[:, :, :k], halves[:, :, k:], out=products[a:b])
     products /= 2.0 * c
     return products
 
@@ -163,39 +173,43 @@ def _jvp_stack(fn, x_ts: np.ndarray, sigma: float, cols: np.ndarray, c: float) -
 def subspace_iteration_batch(
     denoiser,
     x_ts: np.ndarray,
-    sigma: float,
+    sigma: float | np.ndarray,
     config: SpectralConfig,
     rngs: list,
 ) -> list:
     """Estimate the top eigenpairs of sigma^2 * dD/dx at every row of x_ts.
 
-    Row r starts from random N(0, sigma^2 I) directions drawn from rngs[r].
-    Each sweep applies the finite-difference Jacobian product to every
-    column and re-orthonormalizes, until no eigenvalue estimate changes by
-    more than early_stop_tol (relative) or n_iters sweeps are done.
-    Eigenvalues are then re-evaluated on the final orthonormal columns:
-    magnitude sigma^2 * ||J v_k|| per the product norm, sign from the
-    Rayleigh quotient v_k^T J v_k (analytic posteriors are PSD, learned
-    models occasionally are not; negatives are clamped in `eigenvalues` and
-    kept in `raw_eigenvalues`).  A row costs 2 * k * (sweeps + 1) denoiser
-    evaluations.
+    sigma is one noise level for every row or an (n,) array with one per
+    row.  Row r starts from random N(0, sigma_r^2 I) directions drawn from
+    rngs[r].  Each sweep applies the finite-difference Jacobian product
+    (step fd_rel * sigma_r) to every column and re-orthonormalizes, until no
+    eigenvalue estimate changes by more than early_stop_tol (relative) or
+    n_iters sweeps are done.  Eigenvalues are then re-evaluated on the final
+    orthonormal columns: magnitude sigma_r^2 * ||J v_k|| per the product
+    norm, sign from the Rayleigh quotient v_k^T J v_k (analytic posteriors
+    are PSD, learned models occasionally are not; negatives are clamped in
+    `eigenvalues` and kept in `raw_eigenvalues`).  A row costs
+    2 * k * (sweeps + 1) denoiser evaluations.
 
     The active rows' directions are held as one (rows, d, k) stack, and each
-    sweep is a fixed set of whole-stack operations: one denoiser call on
-    every active row's finite-difference points, one stacked QR, and
-    array-wide norms, residuals, sorts and early-stop tests.  Rows that
-    stop leave the stack; all survivors share one final eigenvalue pass.
+    sweep is a fixed set of whole-stack operations: one denoiser call per
+    run of consecutive rows with equal sigma (so rows sharing a noise level
+    are best passed next to each other), on that run's active rows; one
+    stacked QR; and array-wide norms, residuals, sorts and early-stop
+    tests.  Rows that stop leave the stack; all survivors share one final
+    eigenvalue pass.
 
     Contract: a row's result is bit-identical whatever other rows share its
-    batch, in whatever order, and whatever thread count runs it.  This holds
-    for any denoiser whose output for a row does not depend, bit for bit, on
-    the other rows of the call.  `GaussianMixture` is one because its one
-    stacked GEMM keeps operand layouts that depend on neither the row count
-    nor the caller's layout (see `GaussianMixture._components`); the
-    engine always calls it with two or more rows.  A BLAS-backed
-    network like `MlpDenoiser` can round a row differently with the row
-    count; its rows then agree with the same row alone to about 1e-12 only,
-    but still never depend on threads.
+    batch, at whatever noise levels, in whatever order, and whatever thread
+    count runs it.  This holds for any denoiser whose output for a row does
+    not depend, bit for bit, on the other rows of the call.
+    `GaussianMixture` is one because its one stacked GEMM keeps operand
+    layouts that depend on neither the row count nor the caller's layout
+    (see `GaussianMixture._components`); the engine always calls it with
+    two or more rows.  A BLAS-backed network like `MlpDenoiser` can round a
+    row differently with the row count; its rows then agree with the same
+    row alone to about 1e-12 only, but still never depend on threads or on
+    rows at other noise levels, which never share its call.
 
     Returns a list aligned with rngs whose entries are SpectralResult, or
     the RankDeficientError a row's orthonormalization raised so the caller
@@ -205,21 +219,35 @@ def subspace_iteration_batch(
     n_rows, d = x_ts.shape
     if len(rngs) != n_rows:
         raise DimMismatchError(f"{n_rows} points but {len(rngs)} streams")
-    if sigma <= 0.0:
-        raise BadRangeError(f"sigma must be positive, got {sigma}")
+    sigmas = np.asarray(sigma, dtype=float)
+    if sigmas.ndim == 0:
+        sigmas = np.full(n_rows, sigmas)
+    if sigmas.shape != (n_rows,):
+        raise DimMismatchError(f"{n_rows} points but sigma of shape {sigmas.shape}")
+    if not np.all(sigmas > 0.0):
+        raise BadRangeError(f"sigma must be positive, got {sigmas[~(sigmas > 0.0)][0]}")
     if config.top_k < 1 or config.n_iters < 1:
         raise BadRangeError("top_k and n_iters must be >= 1")
     k = min(config.top_k, d)
     fn = _as_denoise_fn(denoiser)
-    c = config.fd_rel * sigma
-    _check_fd_step(c, sigma)
-    s2 = sigma * sigma
+    levels = sigmas.tolist()
+    for s in dict.fromkeys(levels):
+        _check_fd_step(config.fd_rel * s, s)
+    c = config.fd_rel * sigmas
+    s2 = sigmas * sigmas
     check_stop = config.early_stop_tol > 0.0
+    # a run is a range of rows at one noise level
+    starts = [r for r in range(n_rows) if r == 0 or levels[r] != levels[r - 1]]
+
+    def runs(rows):
+        """(start, stop, sigma) of each run's members among rows, an increasing index array."""
+        bounds = np.searchsorted(rows, starts).tolist() + [rows.size]
+        return [(a, b, levels[r]) for a, b, r in zip(bounds, bounds[1:], starts) if a < b]
 
     final_cols = np.stack(
         [
-            np.stack([gaussian_vec(rng.child(j), d, sigma) for j in range(k)], axis=1)
-            for rng in rngs
+            np.stack([gaussian_vec(rng.child(j), d, s) for j in range(k)], axis=1)
+            for rng, s in zip(rngs, levels)
         ]
     )
     history = np.empty((config.n_iters, n_rows))
@@ -232,13 +260,15 @@ def subspace_iteration_batch(
     cols = final_cols
     prev = None
     for sweep in range(config.n_iters):
-        products = _jvp_stack(fn, xa, sigma, cols, c)
+        products = _jvp_stack(fn, xa, cols, c[act], runs(act))
+        sa = s2[act][:, None]
         norms_in = np.linalg.norm(cols, axis=1)[:, None, :]
-        lam = s2 * np.linalg.norm(products, axis=1) / norms_in[:, 0]
+        lam = sa * np.linalg.norm(products, axis=1) / norms_in[:, 0]
         top = np.maximum(np.max(lam, axis=1), 1e-300)
         resid = (
             np.linalg.norm(
-                s2 * products / norms_in - lam[:, None, :] * cols / norms_in, axis=1
+                sa[:, None] * products / norms_in - lam[:, None, :] * cols / norms_in,
+                axis=1,
             )
             / top[:, None]
         )
@@ -271,25 +301,31 @@ def subspace_iteration_batch(
             done = np.zeros(act.size, dtype=bool)
         if sweep + 1 == config.n_iters:
             done[:] = True
-        final_cols[act[done]] = cols[done]
-        performed[act[done]] = sweep + 1
-        keep = ~done
-        act, xa, cols, prev = act[keep], xa[keep], cols[keep], est[keep]
-        if act.size == 0:
-            break
+        if done.any():
+            final_cols[act[done]] = cols[done]
+            performed[act[done]] = sweep + 1
+            keep = ~done
+            act, xa, cols, est = act[keep], xa[keep], cols[keep], est[keep]
+            if act.size == 0:
+                break
+        prev = est
 
     # one shared final pass over every surviving row
     fin = np.array([r for r in range(n_rows) if outcome[r] is None], dtype=int)
     if fin.size == 0:
         return outcome
     cols = final_cols[fin]
-    products = _jvp_stack(fn, x_ts[fin], sigma, cols, c)
+    products = _jvp_stack(fn, x_ts[fin], cols, c[fin], runs(fin))
+    s2 = s2[fin][:, None]
     lam_mag = s2 * np.linalg.norm(products, axis=1)
     sign = np.where(np.einsum("rij,rij->rj", cols, products) < 0.0, -1.0, 1.0)
     raw = sign * lam_mag
     top = np.maximum(np.max(lam_mag, axis=1), 1e-300)
     final_resid = (
-        np.max(np.linalg.norm(s2 * products - raw[:, None, :] * cols, axis=1), axis=1)
+        np.max(
+            np.linalg.norm(s2[:, None] * products - raw[:, None, :] * cols, axis=1),
+            axis=1,
+        )
         / top
     )
     order = np.argsort(raw, axis=1)[:, ::-1]
@@ -302,7 +338,7 @@ def subspace_iteration_batch(
             eigenvalues=vals[i],
             raw_eigenvalues=raw[i],
             eigenvectors=vecs[i],
-            sigma=float(sigma),
+            sigma=levels[r],
             residual=float(final_resid[i]),
             residual_history=history[:n_it, r].tolist() + [float(final_resid[i])],
             n_iters=n_it,

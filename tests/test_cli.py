@@ -1,10 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from eigenscore.cli import main
 from eigenscore.gmm import GaussianMixture
+from eigenscore.mlp import CKPT_MAGIC, CKPT_VERSION
 from eigenscore.rng import LANE_NOISE, LANE_SPECTRAL, RngStream, gaussian_vec
 from eigenscore.schedule import build_schedule, sigma_at
 from eigenscore.spectral import SpectralConfig, subspace_iteration
@@ -399,6 +401,21 @@ def test_trained_model_scores(cfg_path, tmp_path):
     ) == 0
     lines = (tmp_path / "mlp_scores.csv").read_text().splitlines()
     assert len(lines) == 7
+
+
+def test_zero_width_checkpoint_is_format_error(cfg_path, tmp_path, capsys):
+    # widths (3, 0, 2): the loaded net would ignore its input
+    data = str(tmp_path / "data.bin")
+    assert main(["gen-data", "--config", cfg_path, "--out", data]) == 0
+    ckpt = tmp_path / "zero.bin"
+    header = struct.pack("<II3I", CKPT_VERSION, 2, 3, 0, 2)
+    ckpt.write_bytes(CKPT_MAGIC + header + np.array([0.5, -0.5]).astype("<f8").tobytes())
+    net_cfg = make_cfg(tmp_path, name="mlp.json")
+    doc = json.loads((tmp_path / "mlp.json").read_text())
+    doc["model"] = {"kind": "mlp", "checkpoint": str(ckpt)}
+    (tmp_path / "mlp.json").write_text(json.dumps(doc))
+    assert main(["fit", "--config", net_cfg, "--data", data, "--out", str(tmp_path / "c.json")]) == 3
+    assert "must all be >= 1" in capsys.readouterr().err
 
 
 def test_verify_cli_passes(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.special
@@ -12,7 +15,7 @@ from eigenscore.errors import (
     NotSingleGaussianError,
     SingularCovarianceError,
 )
-from eigenscore.gmm import GaussianMixture, kl_gaussians, logsumexp
+from eigenscore.gmm import SIGMA_CACHE_MAX, GaussianMixture, kl_gaussians, logsumexp
 from eigenscore.rng import RngStream
 
 
@@ -131,6 +134,42 @@ def test_denoise_rows_do_not_depend_on_row_count(d):
         for b in (2, 3, 17, 320):
             assert np.array_equal(g.denoise(xs[:b], 0.8), full[:b])
             assert np.array_equal(g.denoise(np.ascontiguousarray(xs[:b]), 0.8), full[:b])
+
+
+def test_sigma_cache_is_bounded():
+    # more distinct sigmas than the cache holds: it never grows past its
+    # bound, and every output equals a fresh model's
+    g = random_mixture(8, 3, seed=5)
+    x = np.random.default_rng(5).standard_normal((6, 8))
+    sigmas = np.geomspace(0.05, 5.0, 2 * SIGMA_CACHE_MAX + 7)
+    first = [g.denoise(x, s) for s in sigmas]
+    assert 0 < len(g._sigma_cache) <= SIGMA_CACHE_MAX
+    again = [g.denoise(x, s) for s in sigmas[::-1]]
+    assert len(g._sigma_cache) <= SIGMA_CACHE_MAX
+    for s, a, b in zip(sigmas, first, again[::-1]):
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, random_mixture(8, 3, seed=5).denoise(x, s))
+
+
+def test_sigma_cache_shared_by_threads():
+    # threads sharing one model fill and empty its cache concurrently; every
+    # output must still equal a lone fresh model's
+    g = random_mixture(4, 2, seed=6)
+    x = np.random.default_rng(6).standard_normal((5, 4))
+    sigmas = np.tile(np.geomspace(0.1, 3.0, 3 * SIGMA_CACHE_MAX), 3)
+    want = {s: random_mixture(4, 2, seed=6).denoise(x, s) for s in sigmas[: 3 * SIGMA_CACHE_MAX]}
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(g.denoise, x, s) for s in sigmas]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(np.array_equal(out, want[s]) for s, out in zip(sigmas, got))
+    # a thread switch between the size check and the insert lets each of the
+    # other threads add one entry past the bound
+    assert len(g._sigma_cache) <= SIGMA_CACHE_MAX + 3
 
 
 def test_responsibilities_sum_to_one_and_symmetric_point():

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from eigenscore.errors import (
     EmptyDatasetError,
     NonFiniteParametersError,
 )
-from eigenscore.mlp import CKPT_MAGIC, MlpDenoiser, TrainConfig, _layer_views
+from eigenscore.mlp import CKPT_MAGIC, CKPT_VERSION, MlpDenoiser, TrainConfig, _layer_views
 from eigenscore.schedule import build_schedule
 
 
@@ -215,6 +216,20 @@ def test_checkpoint_version_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointFormatError):
         MlpDenoiser.load(path)
+
+
+def zero_width_checkpoint(path):
+    """A hand-built checkpoint with widths (3, 0, 2): layer 2 sees nothing."""
+    widths = (3, 0, 2)
+    header = struct.pack("<II3I", CKPT_VERSION, len(widths) - 1, *widths)
+    path.write_bytes(CKPT_MAGIC + header + np.array([0.5, -0.5]).astype("<f8").tobytes())
+    return path
+
+
+def test_checkpoint_zero_width_rejected(tmp_path):
+    # it would load as a constant denoiser returning its last bias
+    with pytest.raises(CheckpointFormatError, match=r"widths \[3, 0, 2\] must all be >= 1"):
+        MlpDenoiser.load(zero_width_checkpoint(tmp_path / "zero.ckpt"))
 
 
 def test_denoise_alias_used_by_spectral_engine():

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import numpy as np
@@ -13,6 +14,7 @@ from eigenscore.errors import (
     TooFewTimestepsError,
 )
 from eigenscore.gmm import GaussianMixture
+from eigenscore.mlp import MlpDenoiser
 from eigenscore.pipeline import (
     Calibration,
     EigenFeature,
@@ -237,6 +239,86 @@ def test_all_failures_imputed_with_median(caplog):
     others = np.delete(feat.values, rep)
     assert feat.values[rep] == np.median(others)
     assert any("imputed" in r.message for r in caplog.records)
+
+
+def test_multi_timestep_retry_leaves_other_timesteps_alone(caplog):
+    # the denoiser collapses only at t=5's noise level, around the first
+    # attempt of repetitions 0 and 1 and the retry of repetition 1: rep 0's
+    # retry succeeds, rep 1 is imputed, and t=3 and t=7 keep every bit
+    model, sched = small_model(), small_schedule()
+    cfg = FeatureConfig(timesteps=(3, 5, 7), top_k=2, n_reps=4, aggregation="all")
+    seed, sid, t = 11, 4, 5
+    sigma = sigma_at(sched, t)
+    x = np.array([0.4, -0.2])
+    centers = [
+        x + gaussian_vec(RngStream(seed, (sid, t, rep, lane)), 2, sigma)
+        for rep, lane in ((0, LANE_NOISE), (1, LANE_NOISE), (1, LANE_NOISE_RETRY))
+    ]
+
+    class CollapsingAtOneLevel:
+        def denoise(self, pts, s):
+            out = model.denoise(pts, s)
+            if s == sigma:
+                for c in centers:
+                    out[np.linalg.norm(pts - c, axis=1) < 0.1] = 0.0
+            return out
+
+    with caplog.at_level(logging.WARNING, logger="eigenscore.pipeline"):
+        feat = eigen_feature(CollapsingAtOneLevel(), x, sched, cfg, seed=seed, sample_id=sid)
+    assert [r.getMessage() for r in caplog.records] == [
+        "sample 4 t=5 rep 0: rank-deficient subspace, retry succeeded",
+        "sample 4 t=5: 1 repetition(s) imputed with the median",
+    ]
+    healthy = eigen_feature(model, x, sched, cfg, seed=seed, sample_id=sid)
+    values, want = feat.values.reshape(3, 4), healthy.values.reshape(3, 4)
+    assert np.array_equal(values[[0, 2]], want[[0, 2]])
+    assert np.array_equal(feat.components[[0, 2]], healthy.components[[0, 2]])
+    assert np.array_equal(values[1, 2:], want[1, 2:])
+    assert values[1, 0] != want[1, 0]
+    assert values[1, 1] == np.median(values[1, [0, 2, 3]])
+
+
+def random_mixture(d, m, seed):
+    gen = np.random.default_rng(seed)
+    covs = []
+    for _ in range(m):
+        a = gen.standard_normal((d, d)) / np.sqrt(d)
+        covs.append(a @ a.T + 0.05 * np.eye(d))
+    return GaussianMixture(np.full(m, 1.0 / m), gen.standard_normal((m, d)), covs)
+
+
+@pytest.mark.parametrize(
+    "kind, aggregation, top_k, want",
+    [
+        ("paper2d", "mean", 3, "b2dee88ceb4d6d0068d921f3f5e9b12b8c3b4857c7fde79946d44a5d1f9d699d"),
+        ("paper2d", "all", 2, "bc8c9e85dab85bc0603c58eec2722867a5886d19779d57a6d79ef3b0ed68f918"),
+        ("mixture24", "mean", 5, "24caf423778b1fd39b12ab9691c11364bce72b9f7b20beaaa04aff82df5902e9"),
+        ("mixture24", "all", 3, "f9ae53de32c67e89cdc1e9f3254483b529cd7ae6d9551e703fb688a61db8b831"),
+        ("mlp8", "mean", 3, "d4ba5336dabc47def1fb8b7de7a568b3a8df11840010b9014486182ab236b7f5"),
+        ("mlp8", "all", 5, "83f211ae2e41a3c31717149ba5464406f754346cbb6f5dacacd473118e5ea2e9"),
+    ],
+)
+def test_multi_timestep_features_pinned(kind, aggregation, top_k, want):
+    # sha256 of eigen_feature values and components over five timesteps,
+    # recorded before the timesteps of a sample shared one probe; any change
+    # to a row's arithmetic or to the points a denoiser call receives shows
+    # here (x86-64, OpenBLAS)
+    if kind == "paper2d":
+        weights, covs = [0.6, 0.37, 0.03], [0.09 * np.eye(2), np.eye(2), 16.0 * np.eye(2)]
+        model = GaussianMixture(weights, np.zeros((3, 2)), covs)
+    else:
+        model = random_mixture(24, 3, seed=24) if kind == "mixture24" else MlpDenoiser(8, (16, 16), seed=3)
+    sched = build_schedule("geometric", 0.02, 10.0, 1000)
+    cfg = FeatureConfig(
+        timesteps=(1, 50, 200, 500, 1000), top_k=top_k, n_reps=6, aggregation=aggregation
+    )
+    xs = np.random.default_rng(model.dim).standard_normal((2, model.dim))
+    digest = hashlib.sha256()
+    for sid, x in enumerate(xs):
+        feat = eigen_feature(model, x, sched, cfg, seed=7, sample_id=sid)
+        digest.update(feat.values.tobytes())
+        digest.update(feat.components.tobytes())
+    assert digest.hexdigest() == want
 
 
 def test_fit_calibration_oracle():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -294,6 +296,100 @@ def test_batch_all_rows_rank_deficient():
         MostlyFine(), np.full((3, 2), 9.0), 0.5, cfg, [RngStream(1, (r,)) for r in range(3)]
     )
     assert all(isinstance(o, RankDeficientError) for o in out)
+
+
+class Recording:
+    """Wraps a denoiser and keeps (sigma, points) of every call it gets."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def denoise(self, x, sigma):
+        self.calls.append((sigma, np.asarray(x).tobytes(), np.asarray(x).flags.f_contiguous))
+        return self.inner.denoise(x, sigma)
+
+
+def test_mixed_sigma_rows_match_single_sigma_calls():
+    # rows at three noise levels, interleaved in runs of one to three rows,
+    # two of them rank-deficient: every row equals its own one-row call, and
+    # its own single-sigma batch
+    cfg = SpectralConfig(top_k=3, n_iters=10, early_stop_tol=1e-4)
+    sig = np.array([0.5, 0.5, 1.3, 0.8, 0.8, 0.8, 0.5, 1.3, 1.3, 0.5])
+    x_ts = np.random.default_rng(8).standard_normal((sig.size, 4))
+    x_ts[[4, 7]] = 9.0
+    rngs = [RngStream(4, (r,)) for r in range(sig.size)]
+    model = MostlyFine(4)
+    batch = subspace_iteration_batch(model, x_ts, sig, cfg, rngs)
+    for r in range(sig.size):
+        if r in (4, 7):
+            assert isinstance(batch[r], RankDeficientError) and batch[r].indices == (r,)
+            with pytest.raises(RankDeficientError):
+                subspace_iteration(model, x_ts[r], sig[r], cfg, rng=rngs[r])
+            continue
+        assert batch[r].sigma == sig[r]
+        assert_same_result(batch[r], subspace_iteration(model, x_ts[r], sig[r], cfg, rng=rngs[r]))
+    for s in (0.5, 0.8, 1.3):
+        rows = np.flatnonzero(sig == s)
+        alone = subspace_iteration_batch(model, x_ts[rows], s, cfg, [rngs[r] for r in rows])
+        for r, res in zip(rows, alone):
+            if not isinstance(res, RankDeficientError):
+                assert_same_result(batch[r], res)
+    # three runs of 0.5 means three calls per sweep at that level
+    many = Recording(model)
+    subspace_iteration_batch(many, x_ts, sig, SpectralConfig(top_k=3, n_iters=1), rngs)
+    assert [c[0] for c in many.calls][:6] == [0.5, 1.3, 0.8, 0.5, 1.3, 0.5]
+
+
+def test_fused_levels_give_each_call_the_points_it_had_alone():
+    # a network need not round a row alike in calls of different sizes, so
+    # a level's rows must reach the denoiser exactly as in their own batch:
+    # the same calls, points, layout and results, whatever levels share it
+    net = MlpDenoiser(6, hidden=(8, 8), seed=2)
+    levels = (0.3, 0.9, 2.5)
+    x_ts = np.random.default_rng(3).standard_normal((3 * 4, 6))
+    rngs = [RngStream(6, (r,)) for r in range(12)]
+    cfg = SpectralConfig(top_k=3, n_iters=8, early_stop_tol=1e-3)
+    fused = Recording(net)
+    batch = subspace_iteration_batch(fused, x_ts, np.repeat(levels, 4), cfg, rngs)
+    alone = Recording(net)
+    for i, s in enumerate(levels):
+        rows = slice(4 * i, 4 * i + 4)
+        for res, want in zip(batch[rows], subspace_iteration_batch(alone, x_ts[rows], s, cfg, rngs[rows])):
+            assert_same_result(res, want)
+    assert sorted(fused.calls) == sorted(alone.calls)
+    assert all(type(c[0]) is float for c in fused.calls)
+    # the first sweep: one call per level, on all 4 rows' 2 * k points
+    assert [c[0] for c in fused.calls[:3]] == list(levels)
+    assert all(len(c[1]) == 4 * 2 * 3 * 6 * 8 for c in fused.calls[:3])
+
+
+def test_batch_sigma_checked_per_row():
+    g = GaussianMixture.single(np.zeros(2), np.eye(2))
+    x_ts = np.zeros((3, 2))
+    rngs = [RngStream(0, (r,)) for r in range(3)]
+    cfg = SpectralConfig(top_k=1, n_iters=2)
+    for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]], np.ones((3, 1))):
+        with pytest.raises(DimMismatchError, match="sigma of shape"):
+            subspace_iteration_batch(g, x_ts, bad, cfg, rngs)
+    for bad in ([1.0, 0.0, 2.0], [1.0, 2.0, -0.5], [np.nan, 1.0, 1.0]):
+        with pytest.raises(BadRangeError, match="sigma must be positive"):
+            subspace_iteration_batch(g, x_ts, bad, cfg, rngs)
+
+
+def test_large_step_warns_once_per_sigma():
+    g = GaussianMixture.single(np.zeros(2), np.eye(2))
+    sig = [1.0, 1.0, 2.0, 2.0, 1.0]
+    cfg = SpectralConfig(top_k=1, n_iters=2, fd_rel=0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        subspace_iteration_batch(g, np.zeros((5, 2)), sig, cfg, [RngStream(0, (r,)) for r in range(5)])
+    msgs = [str(w.message) for w in caught]
+    assert msgs == [
+        "finite-difference step c=0.5 exceeds 0.1*sigma=0.1; the linearization may be poor",
+        "finite-difference step c=1 exceeds 0.1*sigma=0.2; the linearization may be poor",
+    ]
+    assert all(w.filename == __file__ for w in caught)
 
 
 def pinned_model(kind, d):
