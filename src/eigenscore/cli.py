@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -68,11 +69,21 @@ def _thread_count(args) -> int:
     return 1
 
 
-def _model_desc(cfg: dict):
-    section = cfg.get("model", {})
-    if section.get("kind") == "gmm":
-        return section
-    return {"kind": "mlp", "checkpoint": os.path.basename(section.get("checkpoint", ""))}
+def _model_desc(model) -> dict:
+    """The model as config_hash sees it: its kind, shape and a sha256 of its
+    float64 parameters, so a retrained net or an edited mixture changes the
+    hash and an equal model spelt differently in JSON does not."""
+    if isinstance(model, GaussianMixture):
+        desc = {"kind": "gmm", "shape": [model.n_components, model.dim]}
+        params = (model.weights, model.means, model.covariances)
+    else:
+        desc = {"kind": "mlp", "widths": list(model.widths)}
+        params = (model.params,)
+    digest = hashlib.sha256()
+    for a in params:
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    desc["sha256"] = digest.hexdigest()
+    return desc
 
 
 def _metric_features(metric, model, xs, schedule, fcfg, seed, threads):
@@ -118,7 +129,7 @@ def _load_inputs(args):
     schedule = cfgmod.schedule_from_config(cfg)
     fcfg = cfgmod.feature_config_from_config(cfg, schedule)
     seed = cfg.get("seed", 0)
-    return cfg, model, schedule, fcfg, seed
+    return model, schedule, fcfg, seed
 
 
 # -- subcommands ----------------------------------------------------------
@@ -155,7 +166,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg, model, schedule, fcfg, seed = _load_inputs(args)
+    model, schedule, fcfg, seed = _load_inputs(args)
     metric = args.metric
     xs = _read_rows(args.data, "fit")
     threads = _thread_count(args)
@@ -165,7 +176,7 @@ def cmd_fit(args) -> int:
         feats,
         aggregation=agg,
         metric=metric,
-        config_hash=config_hash(_model_desc(cfg), schedule, fcfg, metric),
+        config_hash=config_hash(_model_desc(model), schedule, fcfg, metric),
         timesteps=fcfg.timesteps,
     )
     atomic_write_text(args.out, json.dumps(calib.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -183,8 +194,8 @@ def cmd_score(args) -> int:
         raise ConfigError(
             f"--export-components needs an eigenscore calibration, got {calib.metric}"
         )
-    cfg, model, schedule, fcfg, seed = _load_inputs(args)
-    expected_hash = config_hash(_model_desc(cfg), schedule, fcfg, calib.metric)
+    model, schedule, fcfg, seed = _load_inputs(args)
+    expected_hash = config_hash(_model_desc(model), schedule, fcfg, calib.metric)
     if calib.config_hash and calib.config_hash != expected_hash:
         log.warning(
             "calibration was fit under a different configuration "

@@ -12,6 +12,7 @@ never needs a fresh factorization.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,16 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # Per-sigma factors kept by a mixture before its cache is emptied; at d=64
 # with 8 components an entry holds about 0.8 MB.
 SIGMA_CACHE_MAX = 32
+
+# Bytes of one (m, rows, d) workspace buffer: the denoiser runs its rows in
+# blocks this size so each thread reuses three cache-sized buffers instead of
+# allocating whole-batch temporaries per call.  128 rows at d=64, m=8.
+BLOCK_BYTES = 1 << 19
+
+
+def block_rows(n_components: int, dim: int) -> int:
+    """Rows per denoiser block for a mixture of this shape, at least 2."""
+    return max(2, BLOCK_BYTES // (8 * n_components * dim))
 
 
 def logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
@@ -78,6 +89,11 @@ class GaussianMixture:
     means : array_like, shape (m, d)
     covariances : array_like, shape (m, d, d)
         Symmetric positive semi-definite.
+
+    The pointwise operations (noisy_logpdf, responsibilities, score,
+    denoise) run their rows in blocks of block_rows(m, d) rows, about 128
+    at d=64, m=8.  Each thread keeps one workspace on the model for the
+    block temporaries, so threads may share a model but never a buffer.
     """
 
     def __init__(self, weights, means, covariances):
@@ -131,6 +147,8 @@ class GaussianMixture:
         self._evals = evals
         self._evecs = evecs
         self._sigma_cache: dict[float, tuple] = {}
+        self._block_rows = block_rows(m, d)
+        self._local = threading.local()
 
     @classmethod
     def single(cls, mean, cov) -> "GaussianMixture":
@@ -163,7 +181,7 @@ class GaussianMixture:
         """(inv_t, gain, postcov, lognorm) for each component at this sigma.
 
         inv_t   = ((C_i + sigma^2 I)^-1)^T, C-contiguous: the right operand
-                  of the one stacked GEMM every denoiser call makes
+                  of the stacked GEMM each block of rows makes
         gain    = C_i (C_i + sigma^2 I)^-1          (posterior-mean gain)
         postcov = sigma^2 C_i (C_i + sigma^2 I)^-1  (per-component posterior cov)
         lognorm = log w_i - (d/2) log 2pi - (1/2) log det(C_i + sigma^2 I)
@@ -194,23 +212,57 @@ class GaussianMixture:
         self._sigma_cache[key] = out
         return out
 
-    def _components(self, x2: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-        """log of w_i * N(x; mu_i, C_i + sigma^2 I), shape (m, B), and the
-        whitened offsets z_i = (C_i + sigma^2 I)^-1 (x - mu_i), shape (m, B, d).
+    def _components(self, x2: np.ndarray, sigma: float):
+        """Per block of rows of x2: (rows, logc, z).
 
-        Both come from one stacked GEMM z = dx @ inv_t.  A row of z rounds
-        alike for any B >= 2 because neither operand's layout depends on B or
+        rows is the block's slice of x2; logc holds log of
+        w_i * N(x; mu_i, C_i + sigma^2 I), shape (m, b), and z the whitened
+        offsets z_i = (C_i + sigma^2 I)^-1 (x - mu_i), shape (m, b, d).  z is
+        a view into this thread's workspace, overwritten by the next block.
+
+        Blocks hold block_rows(m, d) rows; a 1-row tail joins the block
+        before it, so no block of a call with B >= 2 has fewer than 2 rows.
+        Each block is one stacked GEMM z = dx @ inv_t.  A row of z rounds
+        alike for any b >= 2 because neither operand's layout depends on b or
         on the caller's layout: dx is built Fortran-ordered per component
         and inv_t is contiguous.  With a C-ordered dx, BLAS rounds a row
-        differently with the row count (seen at d = 33 and d = 65).
+        differently with the row count (seen at d = 33 and d = 65).  Every
+        later step is row-wise, so a row's bits do not depend on which block
+        it falls in.
         """
         inv_t, _, _, lognorm = self._factors(sigma)
         b, d = x2.shape
-        dx = np.empty((self.n_components, d, b)).transpose(0, 2, 1)
-        np.subtract(x2[None, :, :], self.means[:, None, :], out=dx)
-        z = np.matmul(dx, inv_t)
-        quad = np.sum(z * dx, axis=2)
-        return lognorm[:, None] - 0.5 * quad, z
+        m = self.n_components
+        step = self._block_rows
+        dx_buf, z_buf, prod_buf = self._workspace(min(b, step + 1))
+        start = 0
+        while start < b:
+            stop = b if b - start <= step + 1 else start + step
+            rows = stop - start
+            n = m * rows * d
+            dx = dx_buf[:n].reshape(m, d, rows).transpose(0, 2, 1)
+            z = z_buf[:n].reshape(m, rows, d)
+            prod = prod_buf[:n].reshape(m, rows, d)
+            np.subtract(x2[None, start:stop], self.means[:, None], out=dx)
+            np.matmul(dx, inv_t, out=z)
+            np.multiply(z, dx, out=prod)
+            quad = np.sum(prod, axis=2)
+            yield slice(start, stop), lognorm[:, None] - 0.5 * quad, z
+            start = stop
+
+    def _workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """This thread's flat dx, z and product buffers, each with room for
+        `rows` rows of all components.
+
+        Every thread sharing the model gets its own, so no buffer is written
+        by two threads; it is reused by the thread's later calls and grows
+        only when a call needs more rows.
+        """
+        need = self.n_components * rows * self.dim
+        ws = getattr(self._local, "ws", None)
+        if ws is None or ws[0].size < need:
+            ws = self._local.ws = tuple(np.empty(need) for _ in range(3))
+        return ws
 
     def _as_batch(self, x) -> tuple[np.ndarray, bool]:
         a = np.asarray(x, dtype=float)
@@ -226,23 +278,28 @@ class GaussianMixture:
     def noisy_logpdf(self, x, sigma: float):
         """log density of x_t = x + sigma z at the given point(s)."""
         x2, single = self._as_batch(x)
-        out = logsumexp(self._components(x2, sigma)[0], axis=0)
+        out = np.empty(x2.shape[0])
+        for rows, logc, _ in self._components(x2, sigma):
+            out[rows] = logsumexp(logc, axis=0)
         return float(out[0]) if single else out
 
     def responsibilities(self, x, sigma: float):
         """Posterior component probabilities given x_t, shape (..., m)."""
         x2, single = self._as_batch(x)
-        logc, _ = self._components(x2, sigma)
-        r = np.exp(logc - logsumexp(logc, axis=0, keepdims=True)).T
-        return r[0] if single else r
+        r = np.empty((self.n_components, x2.shape[0]))
+        for rows, logc, _ in self._components(x2, sigma):
+            r[:, rows] = np.exp(logc - logsumexp(logc, axis=0, keepdims=True))
+        return r[:, 0] if single else r.T
 
     def score(self, x, sigma: float):
         """Gradient of the noisy log density at x_t."""
         x2, single = self._as_batch(x)
-        logc, z = self._components(x2, sigma)
-        r = np.exp(logc - logsumexp(logc, axis=0, keepdims=True))  # (m, B)
+        out = np.empty(x2.shape)  # C-ordered whatever x's layout, as callers expect
+        for rows, logc, z in self._components(x2, sigma):
+            r = np.exp(logc - logsumexp(logc, axis=0, keepdims=True))  # (m, b)
+            np.einsum("mb,mbi->bi", r, z, out=out[rows])
         # the pull towards mean i is inv_i (mu_i - x) = -z_i
-        out = -np.einsum("mb,mbi->bi", r, z)
+        np.negative(out, out=out)
         return out[0] if single else out
 
     def denoise(self, x, sigma: float):
@@ -252,10 +309,12 @@ class GaussianMixture:
         identity, so the two agree exactly by construction.
 
         For B >= 2 rows, a row's output is bit-identical whatever other rows
-        share the call and whatever the input's memory layout (see
-        `_components`).  A call with one point (B = 1) takes numpy's
-        matrix-vector path and may differ from the same point in a batch in
-        the last bits.
+        share the call, whichever block it falls in and whatever the input's
+        memory layout (see `_components`).  This rests on BLAS rounding a
+        GEMM row alike for any row count, which OpenBLAS 0.3.31 does up to
+        d = 192 on one BLAS thread and up to d = 125 on several.  A call
+        with one point (B = 1) takes numpy's matrix-vector path and may
+        differ from the same point in a batch in the last bits.
         """
         x2, single = self._as_batch(x)
         out = x2 + (sigma * sigma) * self.score(x2, sigma)

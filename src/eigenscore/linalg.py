@@ -96,9 +96,8 @@ def sym_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
-        if nz.size and col[nz[0]] < 0.0:
-            vecs[:, j] = -col
+    mag = np.abs(vecs)
+    first = np.argmax(mag > 1e-12 * np.max(mag, axis=0), axis=0)
+    flip = vecs[first, np.arange(vecs.shape[1])] < 0.0
+    vecs[:, flip] = -vecs[:, flip]
     return vals, vecs

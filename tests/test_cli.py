@@ -275,6 +275,53 @@ def test_config_hash_mismatch_warns(cfg_path, tmp_path, caplog):
     assert any("different configuration" in r.message for r in caplog.records)
 
 
+def _hash_warned(cfg, calib, data, tmp_path, caplog) -> bool:
+    import logging
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="eigenscore.cli"):
+        out = str(tmp_path / "x.csv")
+        assert main(
+            ["score", "--config", cfg, "--calibration", calib, "--data", data, "--out", out]
+        ) == 0
+    return any("different configuration" in r.message for r in caplog.records)
+
+
+def test_config_hash_covers_mixture_values_not_spelling(cfg_path, tmp_path, caplog):
+    data, calib, _ = run_flow(cfg_path, tmp_path)
+    assert not _hash_warned(cfg_path, calib, data, tmp_path, caplog)
+    # the same mixture with integer-valued entries written as 1 and 0
+    model = json.loads(json.dumps(BASE_CFG["model"]))
+    model["means"] = [[-1, 0], [1, 0]]
+    ints = make_cfg(tmp_path, name="ints.json", model=model)
+    assert not _hash_warned(ints, calib, data, tmp_path, caplog)
+    model["covariances"][1][1][1] = 0.91
+    changed = make_cfg(tmp_path, name="cov.json", model=model)
+    assert _hash_warned(changed, calib, data, tmp_path, caplog)
+
+
+def test_retrained_checkpoint_warns(cfg_path, tmp_path, caplog):
+    # a net retrained into the same path must not silently reuse the old
+    # calibration
+    data = str(tmp_path / "data.bin")
+    assert main(["gen-data", "--config", cfg_path, "--out", data]) == 0
+    net = str(tmp_path / "net.bin")
+    cfgs = []
+    for seed in (0, 1):
+        train = {"steps": 40, "batch_size": 4, "hidden": [4], "seed": seed}
+        path = make_cfg(tmp_path, name=f"mlp{seed}.json", train=train)
+        doc = json.loads((tmp_path / f"mlp{seed}.json").read_text())
+        doc["model"] = {"kind": "mlp", "checkpoint": net}
+        (tmp_path / f"mlp{seed}.json").write_text(json.dumps(doc))
+        cfgs.append(path)
+    assert main(["train", "--config", cfgs[0], "--data", data, "--out", net]) == 0
+    calib = str(tmp_path / "mlp_calib.json")
+    assert main(["fit", "--config", cfgs[0], "--data", data, "--out", calib]) == 0
+    assert not _hash_warned(cfgs[0], calib, data, tmp_path, caplog)
+    assert main(["train", "--config", cfgs[1], "--data", data, "--out", net]) == 0
+    assert _hash_warned(cfgs[0], calib, data, tmp_path, caplog)
+
+
 @pytest.mark.parametrize("metric", ["mse", "score-norm", "eigenscore"])
 def test_score_takes_timesteps_from_calibration(cfg_path, tmp_path, metric):
     # config_hash does not cover timesteps, so a changed config must not

@@ -15,7 +15,13 @@ from eigenscore.errors import (
     NotSingleGaussianError,
     SingularCovarianceError,
 )
-from eigenscore.gmm import SIGMA_CACHE_MAX, GaussianMixture, kl_gaussians, logsumexp
+from eigenscore.gmm import (
+    SIGMA_CACHE_MAX,
+    GaussianMixture,
+    block_rows,
+    kl_gaussians,
+    logsumexp,
+)
 from eigenscore.rng import RngStream
 
 
@@ -126,14 +132,45 @@ def test_denoise_matches_einsum_reference(d, m):
 @pytest.mark.parametrize("d", [2, 24, 33, 65])
 def test_denoise_rows_do_not_depend_on_row_count(d):
     # the spectral engine's batch contract rests on this: a row's bits are
-    # the same in a call of any B >= 2 rows, whatever the input's layout
+    # the same in a call of any B >= 2 rows, whatever the input's layout and
+    # wherever the call's row blocks begin and end
     g = random_mixture(d, 3, seed=d)
-    x = 2.0 * np.random.default_rng(d).standard_normal((320, d))
+    block = block_rows(g.n_components, d)
+    x = 2.0 * np.random.default_rng(d).standard_normal((max(320, 2 * block + 2), d))
     for xs in (x, np.asfortranarray(x)):
-        full = g.denoise(xs, 0.8)
-        for b in (2, 3, 17, 320):
-            assert np.array_equal(g.denoise(xs[:b], 0.8), full[:b])
-            assert np.array_equal(g.denoise(np.ascontiguousarray(xs[:b]), 0.8), full[:b])
+        full = [op(xs, 0.8) for op in (g.denoise, g.noisy_logpdf, g.responsibilities)]
+        # callers' later reductions round by layout, so it must not follow x's
+        assert full[0].flags.c_contiguous and full[2].flags.f_contiguous
+        for b in (2, 3, 17, 320, block - 1, block, block + 1, 2 * block + 1):
+            for part in (xs[:b], np.ascontiguousarray(xs[:b])):
+                assert np.array_equal(g.denoise(part, 0.8), full[0][:b])
+                assert np.array_equal(g.noisy_logpdf(part, 0.8), full[1][:b])
+                assert np.array_equal(g.responsibilities(part, 0.8), full[2][:b])
+
+
+def test_threads_sharing_a_model_match_a_fresh_one():
+    # each thread runs its blocks in its own workspace: threads with
+    # different row counts through one model get a fresh model's bits
+    g = random_mixture(64, 8, seed=7)
+    block = block_rows(8, 64)
+    gen = np.random.default_rng(7)
+    xs = [gen.standard_normal((b, 64)) for b in (2, block + 1, 2 * block + 1, 320)] * 3
+    sigmas = [0.3, 1.1] * 6
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [
+                pool.submit(lambda x, s: (g.denoise(x, s), g.noisy_logpdf(x, s)), x, s)
+                for x, s in zip(xs, sigmas)
+            ]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    for x, s, (den, logp) in zip(xs, sigmas, got):
+        fresh = random_mixture(64, 8, seed=7)
+        assert np.array_equal(den, fresh.denoise(x, s))
+        assert np.array_equal(logp, fresh.noisy_logpdf(x, s))
 
 
 def test_sigma_cache_is_bounded():

@@ -113,6 +113,47 @@ def test_sym_eig_descending_and_orthonormal():
     assert np.allclose(a @ vecs, vecs * vals, atol=1e-10)
 
 
+def _sym_eig_loop(mat):
+    # the per-column sign loop sym_eig used before it was vectorized
+    sym = 0.5 * (mat + mat.T)
+    vals, vecs = np.linalg.eigh(sym)
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
+        nz = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
+        if nz.size and col[nz[0]] < 0.0:
+            vecs[:, j] = -col
+    return vals, vecs
+
+
+def _sign_cases():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 64):
+        a = rng.standard_normal((n, n))
+        yield a + a.T
+    yield np.zeros((4, 4))
+    yield np.eye(6)
+    yield np.diag([3.0, 3.0, 1.0, 1.0, 1.0])
+    # eigenvectors whose leading entries are zero or below the 1e-12 cut,
+    # with the first significant entry of either sign
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    q[:2] = 0.0
+    q[2, ::2] *= -1.0
+    q[3] *= 1e-14
+    yield q @ np.diag(np.arange(1.0, 7.0)) @ q.T
+    yield np.kron(np.eye(3), [[0.0, -1.0], [-1.0, 0.0]])
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_sym_eig_signs_match_column_loop(case):
+    mat = list(_sign_cases())[case]
+    vals, vecs = sym_eig(mat)
+    ref_vals, ref_vecs = _sym_eig_loop(mat)
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert vecs.tobytes() == ref_vecs.tobytes()
+
+
 def test_sym_eig_symmetrizes_input():
     skew = np.array([[1.0, 2.0], [0.0, 1.0]])
     vals, _ = sym_eig(skew)
