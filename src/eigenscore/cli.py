@@ -31,16 +31,13 @@ from .evaluate import auroc
 from .gmm import GaussianMixture
 from .mlp import MlpDenoiser
 from .pipeline import (
+    BASELINES,
+    METRICS,
     Calibration,
-    EigenFeature,
     config_hash,
     eigen_score,
     extract_features,
     fit_calibration,
-    mse_score,
-    nll_score,
-    score_derivative_norm,
-    score_norm,
 )
 from .rng import LANE_DATA, RngStream
 from .tensorio import atomic_write_text, read_tensor, write_tensor
@@ -48,7 +45,6 @@ from .verify import run_all
 
 log = logging.getLogger(__name__)
 
-METRICS = ("eigenscore", "mse", "score-norm", "score-deriv", "nll")
 FLOAT_FMT = "%.17g"
 
 
@@ -84,32 +80,6 @@ def _model_desc(model) -> dict:
         digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     desc["sha256"] = digest.hexdigest()
     return desc
-
-
-def _metric_features(metric, model, xs, schedule, fcfg, seed, threads):
-    """A feature vector per row of xs, shaped per metric.
-
-    The spectral metric keeps one value per (timestep, slot); the
-    baselines collapse to one scalar with a whole-sample layout slot.
-    """
-    if metric == "eigenscore":
-        return extract_features(model, xs, schedule, fcfg, seed, threads=threads)
-    scalar_layout = ((0, 1),)
-    ts = fcfg.timesteps
-    feats = []
-    for sid, row in enumerate(xs):
-        if metric == "mse":
-            v = mse_score(model, row, schedule, ts, fcfg.n_reps, seed, sample_id=sid)
-        elif metric == "score-norm":
-            v = score_norm(model, row, schedule, ts, fcfg.n_reps, seed, sample_id=sid)
-        elif metric == "score-deriv":
-            v = score_derivative_norm(model, row, schedule, ts, fcfg.n_reps, seed, sample_id=sid)
-        elif metric == "nll":
-            v = nll_score(model, row, schedule, ts)
-        else:
-            raise ConfigError(f"unknown metric {metric!r}")
-        feats.append(EigenFeature(sample_id=sid, values=np.array([v]), layout=scalar_layout))
-    return feats
 
 
 def _read_rows(path, what):
@@ -170,11 +140,10 @@ def cmd_fit(args) -> int:
     metric = args.metric
     xs = _read_rows(args.data, "fit")
     threads = _thread_count(args)
-    feats = _metric_features(metric, model, xs, schedule, fcfg, seed, threads)
-    agg = fcfg.aggregation if metric == "eigenscore" else "mean"
+    feats = extract_features(model, xs, schedule, fcfg, seed, threads=threads, metric=metric)
     calib = fit_calibration(
         feats,
-        aggregation=agg,
+        aggregation=fcfg.aggregation,
         metric=metric,
         config_hash=config_hash(_model_desc(model), schedule, fcfg, metric),
         timesteps=fcfg.timesteps,
@@ -190,7 +159,7 @@ def cmd_score(args) -> int:
         raise ConfigError(
             f"--metric {args.metric} conflicts with calibration metric {calib.metric}"
         )
-    if args.export_components is not None and calib.metric != "eigenscore":
+    if args.export_components is not None and calib.metric in BASELINES:
         raise ConfigError(
             f"--export-components needs an eigenscore calibration, got {calib.metric}"
         )
@@ -204,7 +173,7 @@ def cmd_score(args) -> int:
     xs = _read_rows(args.data, "score")
     threads = _thread_count(args)
     run_cfg = replace(fcfg, timesteps=calib.timesteps, aggregation=calib.aggregation)
-    feats = _metric_features(calib.metric, model, xs, schedule, run_cfg, seed, threads)
+    feats = extract_features(model, xs, schedule, run_cfg, seed, threads=threads, metric=calib.metric)
     records = [eigen_score(f, calib) for f in feats]
 
     buf = io.StringIO()
@@ -321,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="calibrate a metric on training data")
     add_common(p, threads=True, metric=True)
-    p.set_defaults(metric="eigenscore")
+    p.set_defaults(metric=METRICS[0])
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)

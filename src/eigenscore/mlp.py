@@ -49,7 +49,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    log_every: int = 0  # 0 disables progress lines
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -193,9 +192,6 @@ class MlpDenoiser:
             v *= b2
             v += (1.0 - b2) * g * g
             p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-            if config.log_every and step % config.log_every == 0:
-                recent = trace[-config.log_every:]
-                print(f"step {step}: loss {np.mean(recent):.6f}")
         return trace
 
     # -- checkpoints ------------------------------------------------------

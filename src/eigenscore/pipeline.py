@@ -34,7 +34,7 @@ from .rng import (
     gaussian_vec,
 )
 from .schedule import NoiseSchedule, sigma_at, validate_timesteps
-from .spectral import SpectralConfig, subspace_iteration, subspace_iteration_batch
+from .spectral import SpectralConfig, _as_denoise_fn, subspace_iteration, subspace_iteration_batch
 
 log = logging.getLogger(__name__)
 
@@ -80,28 +80,13 @@ class EigenFeature:
     and runs 1..n_reps when all repetitions are kept.  components (T, d)
     holds, per timestep, the leading eigenvector of the lowest-numbered
     repetition that produced a spectrum (a successful retry counts); it is
-    None for the baseline metrics and is not serialized.
+    None for the baseline metrics.
     """
 
     sample_id: int
     values: np.ndarray
     layout: tuple[tuple[int, int], ...]
     components: np.ndarray | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "values": [float(v) for v in self.values],
-            "layout": [[int(t), int(s)] for t, s in self.layout],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EigenFeature":
-        return cls(
-            sample_id=int(d["sample_id"]),
-            values=np.asarray(d["values"], dtype=float),
-            layout=tuple((int(t), int(s)) for t, s in d["layout"]),
-        )
 
 
 @dataclass
@@ -131,8 +116,13 @@ class Calibration:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Calibration":
-        """Calibration from its document; mu and sigma that would give nan or
-        finite-looking wrong scores are a ConfigError naming the field."""
+        """Calibration from its document; an unknown metric, or mu and sigma
+        that would give nan or finite-looking wrong scores, are a ConfigError
+        naming the field."""
+        if d["metric"] not in METRICS:
+            raise ConfigError(
+                f"calibration invalid at metric: {d['metric']!r} is not one of {METRICS}"
+            )
         layout = tuple((int(t), int(s)) for t, s in d["layout"])
         fields = {}
         for name in ("mu", "sigma"):
@@ -291,12 +281,18 @@ def extract_features(
     seed: int,
     threads: int = 1,
     sample_ids=None,
+    metric: str = "eigenscore",
 ) -> list[EigenFeature]:
-    """eigen_feature over the rows of xs, optionally on a thread pool.
+    """The metric's feature for each row of xs, optionally on a thread pool.
 
-    Results are identical for any thread count: all randomness is keyed by
-    (seed, sample_id, timestep, repetition) and collection preserves order.
+    eigenscore runs `eigen_feature`; a baseline (a `BASELINES` entry) gives
+    one whole-sample value with layout ((0, 1),) from config's timesteps and
+    n_reps.  Results are identical for any thread count: all randomness is
+    keyed by (seed, sample_id, timestep, repetition) and collection
+    preserves order.
     """
+    if metric not in METRICS:
+        raise BadRangeError(f"metric must be one of {METRICS}, got {metric!r}")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ids = list(range(xs.shape[0])) if sample_ids is None else list(sample_ids)
     if len(ids) != xs.shape[0]:
@@ -304,7 +300,12 @@ def extract_features(
 
     def work(row_and_id):
         row, sid = row_and_id
-        return eigen_feature(denoiser, row, schedule, config, seed, sample_id=sid)
+        if metric == "eigenscore":
+            return eigen_feature(denoiser, row, schedule, config, seed, sample_id=sid)
+        value = BASELINES[metric](
+            denoiser, row, schedule, config.timesteps, config.n_reps, seed, sample_id=sid
+        )
+        return EigenFeature(sample_id=sid, values=np.array([value]), layout=((0, 1),))
 
     items = list(zip(xs, ids))
     if threads <= 1:
@@ -336,10 +337,14 @@ def fit_calibration(
     """Per-coordinate mean and population standard deviation (divide by N).
 
     timesteps defaults to the distinct ones in the layout; scalar metrics
-    whose layout does not encode timesteps pass them explicitly.
+    whose layout does not encode timesteps pass them explicitly.  A
+    baseline's single value is recorded with aggregation "mean", whatever
+    aggregation is passed.
     """
     if len(features) < 2:
         raise TooFewSamplesError(f"calibration needs >= 2 samples, got {len(features)}")
+    if metric in BASELINES:
+        aggregation = "mean"
     layout = _common_layout(features)
     stacked = np.stack([f.values for f in features])
     if timesteps is None:
@@ -440,18 +445,30 @@ def tune(
 # -- baseline scores ------------------------------------------------------
 
 
+def _mean_sq_norm(v: np.ndarray) -> float:
+    """Mean over rows of the squared row norm."""
+    return float(np.mean(np.sum(v * v, axis=1)))
+
+
+def _denoised_reps(denoiser, x, schedule, timesteps, n_reps, seed, sample_id):
+    """(sigma, noisy points, denoised points) for each selected timestep.
+
+    The n_reps noisy points are drawn as `eigen_feature` draws them, and the
+    denoiser is resolved as the spectral engine resolves it.
+    """
+    fn = _as_denoise_fn(denoiser)
+    for t in validate_timesteps(schedule, timesteps):
+        sigma = sigma_at(schedule, t)
+        pts = _noisy_points(x, sigma, t, range(n_reps), seed, sample_id)
+        yield sigma, pts, fn(pts, sigma)
+
+
 def mse_score(denoiser, x, schedule, timesteps, n_reps, seed, sample_id: int = 0) -> float:
     """Mean squared denoising error over timesteps and repetitions."""
     x = np.asarray(x, dtype=float)
-    fn = denoiser.denoise
-    total = 0.0
-    ts = validate_timesteps(schedule, timesteps)
-    for t in ts:
-        sigma = sigma_at(schedule, t)
-        pts = _noisy_points(x, sigma, t, range(n_reps), seed, sample_id)
-        err = fn(pts, sigma) - x[None, :]
-        total += float(np.mean(np.sum(err * err, axis=1)))
-    return total / len(ts)
+    reps = _denoised_reps(denoiser, x, schedule, timesteps, n_reps, seed, sample_id)
+    errs = [_mean_sq_norm(den - x[None, :]) for _, _, den in reps]
+    return sum(errs) / len(errs)
 
 
 def score_norm(denoiser, x, schedule, timesteps, n_reps, seed, sample_id: int = 0) -> float:
@@ -461,14 +478,8 @@ def score_norm(denoiser, x, schedule, timesteps, n_reps, seed, sample_id: int = 
     sqrt(sum over t of mean over repetitions of ||eps||^2).
     """
     x = np.asarray(x, dtype=float)
-    fn = denoiser.denoise
-    total = 0.0
-    for t in validate_timesteps(schedule, timesteps):
-        sigma = sigma_at(schedule, t)
-        pts = _noisy_points(x, sigma, t, range(n_reps), seed, sample_id)
-        eps = (pts - fn(pts, sigma)) / sigma
-        total += float(np.mean(np.sum(eps * eps, axis=1)))
-    return float(np.sqrt(total))
+    reps = _denoised_reps(denoiser, x, schedule, timesteps, n_reps, seed, sample_id)
+    return float(np.sqrt(sum(_mean_sq_norm((pts - den) / sigma) for sigma, pts, den in reps)))
 
 
 def score_derivative_norm(denoiser, x, schedule, timesteps, n_reps, seed, sample_id: int = 0) -> float:
@@ -482,7 +493,7 @@ def score_derivative_norm(denoiser, x, schedule, timesteps, n_reps, seed, sample
     ts = validate_timesteps(schedule, timesteps)
     if len(ts) < 2:
         raise TooFewTimestepsError("need at least two timesteps for a t-derivative")
-    fn = denoiser.denoise
+    fn = _as_denoise_fn(denoiser)
     d = x.shape[0]
     eps = np.empty((len(ts), n_reps, d))
     zs = np.stack(
@@ -498,8 +509,7 @@ def score_derivative_norm(denoiser, x, schedule, timesteps, n_reps, seed, sample
     total = 0.0
     for ti in range(len(ts) - 1):
         gap = ts[ti + 1] - ts[ti]
-        diff = (eps[ti + 1] - eps[ti]) / gap
-        total += float(np.mean(np.sum(diff * diff, axis=1)))
+        total += _mean_sq_norm((eps[ti + 1] - eps[ti]) / gap)
     return float(np.sqrt(total))
 
 
@@ -512,3 +522,16 @@ def nll_score(model, x, schedule, timesteps) -> float:
     return float(
         -sum(logpdf(x, sigma_at(schedule, t)) for t in validate_timesteps(schedule, timesteps))
     )
+
+
+# The metric table: name -> f(denoiser, x, schedule, timesteps, n_reps, seed,
+# sample_id) for each baseline (nll draws no noise, so it drops the last
+# three); these names are the CLI's --metric choices and a calibration's
+# "metric" field.
+BASELINES = {
+    "mse": mse_score,
+    "score-norm": score_norm,
+    "score-deriv": score_derivative_norm,
+    "nll": lambda model, x, schedule, timesteps, *_, **__: nll_score(model, x, schedule, timesteps),
+}
+METRICS = ("eigenscore", *BASELINES)

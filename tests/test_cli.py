@@ -89,8 +89,9 @@ def test_full_flow_score_csv(cfg_path, tmp_path):
     float(first[1])  # parsea
 
 
-def test_score_threads_byte_identical(cfg_path, tmp_path):
-    data, calib, scores = run_flow(cfg_path, tmp_path)
+@pytest.mark.parametrize("metric", ["eigenscore", "mse", "score-norm", "score-deriv", "nll"])
+def test_score_threads_byte_identical(cfg_path, tmp_path, metric):
+    data, calib, scores = run_flow(cfg_path, tmp_path, metric=metric)
     out8 = str(tmp_path / "scores8.csv")
     assert main(
         [
@@ -231,6 +232,25 @@ def test_bad_calibration_is_usage_error(cfg_path, tmp_path, capsys, field, value
     )
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_calibration_metric_fails_before_model_loads(cfg_path, tmp_path, capsys):
+    data, calib, _ = run_flow(cfg_path, tmp_path)
+    doc = json.loads((tmp_path / "calib.json").read_text())
+    doc["metric"] = "foo"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    # the checkpoint does not exist, so loading the model would exit 3
+    missing = tmp_path / "missing.json"
+    model = {"kind": "mlp", "checkpoint": str(tmp_path / "none.bin")}
+    missing.write_text(json.dumps({**BASE_CFG, "model": model}))
+    out = tmp_path / "x.csv"
+    args = ["score", "--config", str(missing), "--data", data, "--out", str(out)]
+    assert main(args + ["--calibration", calib]) == 3
+    capsys.readouterr()
+    assert main(args + ["--calibration", str(bad)]) == 2
+    assert "calibration invalid at metric: 'foo'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -16,6 +16,7 @@ from eigenscore.errors import (
 from eigenscore.gmm import GaussianMixture
 from eigenscore.mlp import MlpDenoiser
 from eigenscore.pipeline import (
+    BASELINES,
     Calibration,
     EigenFeature,
     FeatureConfig,
@@ -530,6 +531,45 @@ def test_score_derivative_norm_manual():
     assert got == pytest.approx(np.sqrt(total), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "baseline, ts", [(mse_score, (3, 7)), (score_norm, (3, 7)), (score_derivative_norm, (3, 5, 9))]
+)
+def test_baseline_takes_plain_callable(baseline, ts):
+    # a plain f(x, sigma) is a denoiser, as for the spectral engine
+    model, sched = small_model(), small_schedule()
+    x = np.array([0.3, -0.4])
+    want = baseline(model, x, sched, ts, 3, 1, sample_id=2)
+    assert baseline(model.denoise, x, sched, ts, 3, 1, sample_id=2) == want
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_extract_features_runs_baselines(threads):
+    model, sched = small_model(), small_schedule()
+    xs = np.array([[0.2, -0.1], [1.5, 0.4], [-2.0, 1.0]])
+    cfg = FeatureConfig(timesteps=(3, 7), n_reps=4)
+    for metric, baseline in BASELINES.items():
+        feats = extract_features(model, xs, sched, cfg, seed=2, threads=threads, metric=metric)
+        for sid, (x, f) in enumerate(zip(xs, feats)):
+            if metric == "nll":
+                want = nll_score(model, x, sched, cfg.timesteps)
+            else:
+                want = baseline(model, x, sched, cfg.timesteps, cfg.n_reps, 2, sample_id=sid)
+            assert f.sample_id == sid and f.layout == ((0, 1),) and f.components is None
+            assert f.values.tolist() == [want]
+
+
+def test_extract_features_rejects_unknown_metric():
+    model, sched, cfg = small_model(), small_schedule(), FeatureConfig(timesteps=(3,))
+    with pytest.raises(BadRangeError, match="metric must be one of"):
+        extract_features(model, np.zeros((1, 2)), sched, cfg, seed=0, metric="foo")
+
+
+def test_baseline_calibration_records_mean_aggregation():
+    feats = [EigenFeature(i, np.array([float(i)]), ((0, 1),)) for i in range(3)]
+    assert fit_calibration(feats, "all", metric="mse", timesteps=(3,)).aggregation == "mean"
+    assert fit_calibration(feats, "median").aggregation == "median"
+
+
 def test_score_derivative_needs_two_timesteps():
     model, sched = small_model(), small_schedule()
     with pytest.raises(TooFewTimestepsError):
@@ -564,14 +604,6 @@ def test_config_hash_stable_and_sensitive():
     assert c != a
     d = config_hash({"kind": "gmm"}, sched, cfg, "mse")
     assert d != a
-
-
-def test_feature_round_trips_through_dict():
-    feat = EigenFeature(4, np.array([1.5, 2.5]), ((3, 1), (7, 1)))
-    back = EigenFeature.from_dict(feat.to_dict())
-    assert back.sample_id == 4
-    assert np.array_equal(back.values, feat.values)
-    assert back.layout == feat.layout
 
 
 def test_calibration_round_trips_through_dict():
