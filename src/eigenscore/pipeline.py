@@ -180,13 +180,11 @@ def config_hash(model_desc, schedule: NoiseSchedule, config: FeatureConfig, metr
 # -- feature extraction ---------------------------------------------------
 
 
-def _noisy_points(x, sigma, t, reps, seed, sample_id, lane=LANE_NOISE):
-    """x + sigma z for each repetition in reps, z from its (sample, t, rep, lane) stream."""
-    d = x.shape[0]
-    zs = np.stack(
-        [gaussian_vec(RngStream(seed, (sample_id, t, rep, lane)), d, sigma) for rep in reps]
-    )
-    return x[None, :] + zs
+def _noisy_points(x, timesteps, sigmas, reps, seed, sample_id, lane=LANE_NOISE):
+    """x + sigma_t z for each timestep t (noise level sigma_t) and each
+    repetition in reps, timestep-major; z from its (sample, t, rep, lane) stream."""
+    rngs = [RngStream(seed, (sample_id, t, rep, lane)) for t in timesteps for rep in reps]
+    return x[None, :] + gaussian_vec(rngs, x.shape[0], np.repeat(sigmas, len(reps)))
 
 
 def eigen_feature(
@@ -217,9 +215,7 @@ def eigen_feature(
     # every (timestep, repetition) row shares one probe, timestep-major, so
     # each denoiser call covers one timestep's active rows; every row still
     # follows its own (sample, t, rep)-keyed streams
-    x_ts = np.concatenate(
-        [_noisy_points(x, sigma, t, reps, seed, sample_id) for t, sigma in zip(timesteps, sigmas)]
-    )
+    x_ts = _noisy_points(x, timesteps, sigmas, reps, seed, sample_id)
     rngs = [RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL)) for t in timesteps for rep in reps]
     all_results = subspace_iteration_batch(
         denoiser, x_ts, np.repeat(sigmas, n_reps), config.spectral, rngs
@@ -231,7 +227,7 @@ def eigen_feature(
         failed: list[int] = []
         for rep, out in enumerate(results):
             if isinstance(out, RankDeficientError):
-                (x_t,) = _noisy_points(x, sigma, t, (rep,), seed, sample_id, LANE_NOISE_RETRY)
+                (x_t,) = _noisy_points(x, (t,), (sigma,), (rep,), seed, sample_id, LANE_NOISE_RETRY)
                 rng = RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL_RETRY))
                 try:
                     out = results[rep] = subspace_iteration(denoiser, x_t, sigma, config.spectral, rng)
@@ -457,9 +453,11 @@ def _denoised_reps(denoiser, x, schedule, timesteps, n_reps, seed, sample_id):
     denoiser is resolved as the spectral engine resolves it.
     """
     fn = _as_denoise_fn(denoiser)
-    for t in validate_timesteps(schedule, timesteps):
-        sigma = sigma_at(schedule, t)
-        pts = _noisy_points(x, sigma, t, range(n_reps), seed, sample_id)
+    ts = validate_timesteps(schedule, timesteps)
+    sigmas = [sigma_at(schedule, t) for t in ts]
+    all_pts = _noisy_points(x, ts, sigmas, range(n_reps), seed, sample_id)
+    for i, sigma in enumerate(sigmas):
+        pts = all_pts[i * n_reps : (i + 1) * n_reps]
         yield sigma, pts, fn(pts, sigma)
 
 
@@ -496,11 +494,8 @@ def score_derivative_norm(denoiser, x, schedule, timesteps, n_reps, seed, sample
     fn = _as_denoise_fn(denoiser)
     d = x.shape[0]
     eps = np.empty((len(ts), n_reps, d))
-    zs = np.stack(
-        [
-            gaussian_vec(RngStream(seed, (sample_id, _PATH_LANE, i, LANE_NOISE)), d, 1.0)
-            for i in range(n_reps)
-        ]
+    zs = gaussian_vec(
+        [RngStream(seed, (sample_id, _PATH_LANE, i, LANE_NOISE)) for i in range(n_reps)], d, 1.0
     )
     for ti, t in enumerate(ts):
         sigma = sigma_at(schedule, t)

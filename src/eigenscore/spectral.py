@@ -244,12 +244,9 @@ def subspace_iteration_batch(
         bounds = np.searchsorted(rows, starts).tolist() + [rows.size]
         return [(a, b, levels[r]) for a, b, r in zip(bounds, bounds[1:], starts) if a < b]
 
-    final_cols = np.stack(
-        [
-            np.stack([gaussian_vec(rng.child(j), d, s) for j in range(k)], axis=1)
-            for rng, s in zip(rngs, levels)
-        ]
-    )
+    # row r's column j is drawn from rngs[r].child(j)
+    draws = gaussian_vec([rng.child(j) for rng in rngs for j in range(k)], d, np.repeat(sigmas, k))
+    final_cols = np.ascontiguousarray(draws.reshape(n_rows, k, d).transpose(0, 2, 1))
     history = np.empty((config.n_iters, n_rows))
     performed = np.zeros(n_rows, dtype=int)
     outcome: list = [None] * n_rows
