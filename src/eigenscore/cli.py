@@ -48,21 +48,23 @@ log = logging.getLogger(__name__)
 FLOAT_FMT = "%.17g"
 
 
+def _at_least(value, lo: int, flag: str):
+    if value is not None and value < lo:
+        raise ConfigError(f"{flag} must be >= {lo}, got {value}")
+    return value
+
+
 def _thread_count(args) -> int:
     if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        return args.threads
+        return _at_least(args.threads, 1, "--threads")
     env = os.environ.get("EIGENSCORE_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"EIGENSCORE_THREADS={env!r} is not an integer")
-        if n < 1:
-            raise ConfigError(f"EIGENSCORE_THREADS must be >= 1, got {n}")
-        return n
-    return 1
+    if env is None:
+        return 1
+    try:
+        n = int(env)
+    except ValueError:
+        raise ConfigError(f"EIGENSCORE_THREADS={env!r} is not an integer")
+    return _at_least(n, 1, "EIGENSCORE_THREADS")
 
 
 def _model_desc(model) -> dict:
@@ -106,6 +108,8 @@ def _load_inputs(args):
 
 
 def cmd_gen_data(args) -> int:
+    _at_least(args.n, 1, "--n")
+    _at_least(args.stream, 0, "--stream")
     cfg = cfgmod.load_config(args.config)
     model = cfgmod.model_from_config(cfg)
     if not isinstance(model, GaussianMixture):
@@ -244,7 +248,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_all(args.seed)
+    report = run_all(_at_least(args.seed, 0, "--seed"))
     print(report.format_table())
     if args.json_out is not None:
         atomic_write_text(
@@ -328,10 +332,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (TensorFormatError, CheckpointFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (TensorFormatError, CheckpointFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except EigenscoreError as e:

@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import EmptyInputError, NonFiniteError
 
@@ -40,22 +39,24 @@ def _check(scores, name):
 
 def auroc(ind_scores, ood_scores) -> RocResult:
     """Probability a random out-of-distribution score exceeds an in-distribution
-    one, ties counted half.  Computed from average ranks (Mann-Whitney U), with
+    one, ties counted half: Mann-Whitney U, counted from the sorted scores, with
     the curve swept over the distinct scores as thresholds (predict
     out-of-distribution when score >= threshold).
     """
     ind = _check(ind_scores, "in-distribution")
     ood = _check(ood_scores, "out-of-distribution")
     n_i, n_o = ind.size, ood.size
+    # before sorting, which can change the sign kept of a tied 0.0 and -0.0
+    thresholds = np.unique(np.concatenate([ind, ood]))[::-1]
+    ind, ood = np.sort(ind), np.sort(ood)
 
-    ranks = rankdata(np.concatenate([ind, ood]))  # average ranks on ties
-    u = np.sum(ranks[n_i:]) - n_o * (n_o + 1) / 2.0
+    # per ood score: the ind scores below it plus half the ties, summed exactly
+    u = np.sum(np.searchsorted(ind, ood, "left") + np.searchsorted(ind, ood, "right")) / 2.0
     area = u / (n_i * n_o)
 
-    thresholds = np.unique(np.concatenate([ind, ood]))[::-1]
     # scores >= th: everything from th's leftmost insertion point on
-    fpr = (n_i - np.searchsorted(np.sort(ind), thresholds, side="left")) / n_i
-    tpr = (n_o - np.searchsorted(np.sort(ood), thresholds, side="left")) / n_o
+    fpr = (n_i - np.searchsorted(ind, thresholds, side="left")) / n_i
+    tpr = (n_o - np.searchsorted(ood, thresholds, side="left")) / n_o
     return RocResult(
         auroc=float(area),
         thresholds=thresholds,

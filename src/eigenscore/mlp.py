@@ -173,6 +173,8 @@ class MlpDenoiser:
         p = self.params
         m = np.zeros_like(p)
         v = np.zeros_like(p)
+        # reused buffers: parameter-sized temporaries can page-fault every step
+        upd, den = np.empty_like(p), np.empty_like(p)
         b1, b2, eps, lr = config.beta1, config.beta2, config.eps, config.lr
         trace: list[float] = []
         for step in range(1, config.steps + 1):
@@ -188,10 +190,13 @@ class MlpDenoiser:
             c1 = 1.0 - b1**step
             c2 = 1.0 - b2**step
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(g, 1.0 - b1, out=upd)
             v *= b2
-            v += (1.0 - b2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            v += np.multiply(np.multiply(g, 1.0 - b2, out=upd), g, out=upd)
+            np.multiply(np.divide(m, c1, out=upd), lr, out=upd)
+            np.sqrt(np.divide(v, c2, out=den), out=den)
+            den += eps
+            p -= np.divide(upd, den, out=upd)
         return trace
 
     # -- checkpoints ------------------------------------------------------

@@ -130,8 +130,7 @@ def jvp(denoiser, x_t: np.ndarray, sigma: float, v: np.ndarray, c: float) -> np.
         raise BadRangeError(f"sigma must be positive, got {sigma}")
     _check_fd_step(c, sigma)
     fn = _as_denoise_fn(denoiser)
-    out = _eval_batch(fn, np.stack([x_t + c * v, x_t - c * v]), sigma)
-    return (out[0] - out[1]) / (2.0 * c)
+    return _jvp_stack(fn, x_t[None], v[None, :, None], np.array([c]), [(0, 1, sigma)])[0, :, 0]
 
 
 def _jvp_stack(fn, x_ts: np.ndarray, cols: np.ndarray, c: np.ndarray, runs: list) -> np.ndarray:
@@ -391,9 +390,7 @@ def exact_spectrum(
         raise BadRangeError(f"top_k must be >= 1, got {top_k}")
     fn = _as_denoise_fn(denoiser)
     h = fd_step if fd_step is not None else 1e-4 * max(1.0, float(np.max(np.abs(x_t))))
-    steps = h * np.eye(d)
-    out = _eval_batch(fn, np.concatenate([x_t + steps, x_t - steps], axis=0), sigma)
-    jac = (out[:d] - out[d:]).T / (2.0 * h)
+    jac = _jvp_stack(fn, x_t[None], np.eye(d)[None], np.array([h]), [(0, 1, sigma)])[0]
     asym = float(np.max(np.abs(jac - jac.T)))
     vals, vecs = sym_eig((sigma * sigma) * jac)
     raw = vals[:k]

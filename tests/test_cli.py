@@ -130,6 +130,30 @@ def test_score_rejects_non_positive_threads(cfg_path, tmp_path, capsys):
     assert main(["fit", "--config", cfg_path, "--data", data, "--out", calib, "--threads", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen-data", "--n", "0"], "--n must be >= 1, got 0"),
+        (["gen-data", "--n", "-3"], "--n must be >= 1, got -3"),
+        (["gen-data", "--stream", "-1"], "--stream must be >= 0, got -1"),
+        (["verify", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    ],
+    ids=["n-zero", "n-negative", "stream-negative", "seed-negative"],
+)
+def test_out_of_range_flag_is_usage_error(cfg_path, tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    if argv[0] == "gen-data":
+        argv = argv + ["--config", cfg_path, "--out", str(out)]
+    else:
+        argv = argv + ["--json-out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    # rejected before any work: nothing printed, nothing written
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_score_json_and_components(cfg_path, tmp_path):
     data, calib, _ = run_flow(cfg_path, tmp_path)
     out = str(tmp_path / "s.csv")

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
+import eigenscore
 from eigenscore.errors import EmptyInputError, NonFiniteError
 from eigenscore.evaluate import RocResult, auroc, curve_area
 
@@ -80,6 +86,46 @@ def test_curve_bit_identical_to_loop_sweep():
         for got, want in ((res.thresholds, thresholds), (res.fpr, fpr), (res.tpr, tpr)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def rank_auroc(ind, ood):
+    """The Mann-Whitney U statistic from average ranks, ties counted half."""
+    ind = np.asarray(ind, dtype=float)
+    ood = np.asarray(ood, dtype=float)
+    ranks = rankdata(np.concatenate([ind, ood]))
+    u = np.sum(ranks[ind.size :]) - ood.size * (ood.size + 1) / 2.0
+    return float(u / (ind.size * ood.size))
+
+
+def test_auroc_bit_identical_to_rank_statistic():
+    gen = np.random.default_rng(11)
+    cases = [([1.0], [1.0]), ([0.0], [1.0]), ([1.0], [0.0]), ([-0.0], [0.0])]
+    for _ in range(300):
+        n_i, n_o = gen.integers(1, 120, size=2)
+        ind = gen.normal(size=n_i)
+        ood = gen.normal(0.4, 1.0, size=n_o)
+        cases.append((ind, ood))  # untied
+        decimals = gen.integers(0, 3)
+        cases.append((np.round(ind, decimals), np.round(ood, decimals)))  # tied
+    big_i, big_o = gen.normal(size=20000), gen.normal(0.2, 1.0, size=20000)
+    cases += [(big_i, big_o), (np.round(big_i, 1), np.round(big_o, 1))]
+    for ind, ood in cases:
+        got = auroc(ind, ood).auroc
+        assert np.float64(got).tobytes() == np.float64(rank_auroc(ind, ood)).tobytes()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the package must not pull it in
+    src = os.path.dirname(os.path.dirname(eigenscore.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, eigenscore, eigenscore.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_counts_recorded():

@@ -136,6 +136,26 @@ def test_extract_features_threads_equal():
     assert [f.sample_id for f in a] == [f.sample_id for f in b] == list(range(6))
 
 
+def test_extract_features_threads_equal_high_dim():
+    # d=300 is past d=126, from where OpenBLAS can round a GEMM row
+    # differently with the call's row count; the pool's thread count must
+    # still change no bit
+    d, m = 300, 4
+    gen = np.random.default_rng(300)
+    factors = gen.normal(size=(m, d, d)) / np.sqrt(d)
+    covs = factors @ np.swapaxes(factors, 1, 2) + 0.5 * np.eye(d)
+    model = GaussianMixture(np.full(m, 1.0 / m), 2.0 * gen.normal(size=(m, d)), covs)
+    cfg = FeatureConfig(timesteps=(3, 7), top_k=2, n_reps=2)
+    xs = model.sample(RngStream(0, (0,)), 5)
+    runs = [
+        extract_features(model, xs, small_schedule(), cfg, seed=0, threads=n) for n in (1, 2, 3)
+    ]
+    for feats in runs[1:]:
+        for a, b in zip(runs[0], feats):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.components.tobytes() == b.components.tobytes()
+
+
 def test_extract_features_checks_ids():
     model, sched = small_model(), small_schedule()
     cfg = FeatureConfig(timesteps=(3,), top_k=1, n_reps=1)
