@@ -219,7 +219,12 @@ def _read_scores_csv(path: str) -> np.ndarray:
         for row in reader:
             if not row:
                 continue
-            scores.append(float(row[1]))
+            try:
+                scores.append(float(row[1]))
+            except (IndexError, ValueError):
+                raise ConfigError(
+                    f"{path}, line {reader.line_num}: want 'id,score,...', got {row!r}"
+                ) from None
     return np.array(scores)
 
 

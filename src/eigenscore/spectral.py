@@ -18,7 +18,7 @@ run of consecutive rows with equal sigma.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,8 +62,10 @@ class SpectralResult:
 
     `eigenvalues` are descending and clamped to be non-negative;
     `raw_eigenvalues` keep the signed estimates in the same order.
-    `residual` is the subspace residual of the last iteration performed
-    and `asymmetry` (dense oracle only) is max |J - J^T|.
+    `residual` is the subspace residual max_j ||sigma^2 J v_j - lambda_j v_j||
+    over max_j |lambda_j| on the final columns (0 for the dense oracles),
+    `n_iters` the sweeps performed, `n_evals` the denoiser evaluations and
+    `asymmetry` (dense oracle only) max |J - J^T|.
     """
 
     eigenvalues: np.ndarray
@@ -71,7 +73,6 @@ class SpectralResult:
     eigenvectors: np.ndarray
     sigma: float
     residual: float
-    residual_history: list = field(default_factory=list)
     n_iters: int = 0
     n_evals: int = 0
     asymmetry: float | None = None
@@ -139,34 +140,23 @@ def _jvp_stack(fn, x_ts: np.ndarray, cols: np.ndarray, c: np.ndarray, runs: list
     x_ts is (n, d), cols (n, d, k) and c (n,), row r's step.  runs lists
     (start, stop, sigma) for the ranges of rows at one noise level; the
     denoiser is called once per run, on that run's contiguous slice of the
-    finite-difference points.  Returns the (n, d, k) products.
-    The products' memory layout is picked from the first call's output
-    layout alone, never from n, so a row's bits do not depend on how many
-    rows share its call: numpy sums a contiguous axis pairwise and a strided
-    one in sequence, so the norms taken later round alike only if every row
-    keeps one layout.
+    finite-difference points.  Returns the (n, d, k) products as a
+    transposed view of a C-ordered (n, k, d) array, whatever the denoiser's
+    output layout: a row's d-axis then stays contiguous whatever n is, and
+    numpy sums a contiguous axis pairwise and a strided one in sequence, so
+    the norms taken later round alike only if every row keeps one layout.
     """
     n, d, k = cols.shape
     c = c[:, None, None]
     step = c * np.swapaxes(cols, 1, 2)
     x = x_ts[:, None, :]
     pts = np.concatenate([x + step, x - step], axis=1).reshape(n * 2 * k, d)
-    products = None
+    products = np.empty((n, k, d))
     for a, b, sigma in runs:
-        out = _eval_batch(fn, pts[2 * k * a : 2 * k * b], sigma)
-        # numpy's default layout for the difference follows the output's,
-        # which for Fortran-ordered output interleaves the rows: a row's
-        # d-axis stride would then change with n.  Every row gets the layout
-        # a lone row's default has.
-        if products is None:
-            if k > 1 and abs(out.strides[0]) < abs(out.strides[1]):
-                products = np.empty((n, d, k))
-            else:
-                products = np.empty((n, k, d)).transpose(0, 2, 1)
-        halves = np.swapaxes(out.reshape(b - a, 2 * k, d), 1, 2)
-        np.subtract(halves[:, :, :k], halves[:, :, k:], out=products[a:b])
+        out = _eval_batch(fn, pts[2 * k * a : 2 * k * b], sigma).reshape(b - a, 2 * k, d)
+        np.subtract(out[:, :k], out[:, k:], out=products[a:b])
     products /= 2.0 * c
-    return products
+    return np.swapaxes(products, 1, 2)
 
 
 def subspace_iteration_batch(
@@ -194,9 +184,9 @@ def subspace_iteration_batch(
     sweep is a fixed set of whole-stack operations: one denoiser call per
     run of consecutive rows with equal sigma (so rows sharing a noise level
     are best passed next to each other), on that run's active rows; one
-    stacked QR; and array-wide norms, residuals, sorts and early-stop
-    tests.  Rows that stop leave the stack; all survivors share one final
-    eigenvalue pass.
+    stacked QR; and array-wide norms, sorts and early-stop tests.  Rows that
+    stop leave the stack; all survivors share one final eigenvalue pass,
+    which alone computes the subspace residual.
 
     Contract: a row's result is bit-identical whatever other rows share its
     batch, at whatever noise levels, in whatever order, and whatever thread
@@ -204,11 +194,13 @@ def subspace_iteration_batch(
     not depend, bit for bit, on the other rows of the call.
     `GaussianMixture` is one because its one stacked GEMM keeps operand
     layouts that depend on neither the row count nor the caller's layout
-    (see `GaussianMixture._components`); the engine always calls it with
-    two or more rows.  A BLAS-backed network like `MlpDenoiser` can round a
-    row differently with the row count; its rows then agree with the same
-    row alone to about 1e-12 only, but still never depend on threads or on
-    rows at other noise levels, which never share its call.
+    (see `GaussianMixture._components`), and the engine always calls it with
+    two or more rows; this rests on BLAS rounding a GEMM row alike for any
+    row count, which OpenBLAS 0.3.31 does up to d = 192 on one BLAS thread
+    and up to d = 125 on several.  A BLAS-backed network like `MlpDenoiser`
+    can round a row differently with the row count; its rows then agree with
+    the same row alone to about 1e-12 only, but still never depend on
+    threads or on rows at other noise levels, which never share its call.
 
     Returns a list aligned with rngs whose entries are SpectralResult, or
     the RankDeficientError a row's orthonormalization raised so the caller
@@ -246,7 +238,6 @@ def subspace_iteration_batch(
     # row r's column j is drawn from rngs[r].child(j)
     draws = gaussian_vec([rng.child(j) for rng in rngs for j in range(k)], d, np.repeat(sigmas, k))
     final_cols = np.ascontiguousarray(draws.reshape(n_rows, k, d).transpose(0, 2, 1))
-    history = np.empty((config.n_iters, n_rows))
     performed = np.zeros(n_rows, dtype=int)
     outcome: list = [None] * n_rows
 
@@ -257,19 +248,8 @@ def subspace_iteration_batch(
     prev = None
     for sweep in range(config.n_iters):
         products = _jvp_stack(fn, xa, cols, c[act], runs(act))
-        sa = s2[act][:, None]
-        norms_in = np.linalg.norm(cols, axis=1)[:, None, :]
-        lam = sa * np.linalg.norm(products, axis=1) / norms_in[:, 0]
+        lam = s2[act][:, None] * np.linalg.norm(products, axis=1) / np.linalg.norm(cols, axis=1)
         top = np.maximum(np.max(lam, axis=1), 1e-300)
-        resid = (
-            np.linalg.norm(
-                sa[:, None] * products / norms_in - lam[:, None, :] * cols / norms_in,
-                axis=1,
-            )
-            / top[:, None]
-        )
-        history[sweep, act] = np.max(resid, axis=1)
-
         try:
             cols, _ = qr_orthonormalize(products)
         except RankDeficientError as e:
@@ -336,7 +316,6 @@ def subspace_iteration_batch(
             eigenvectors=vecs[i],
             sigma=levels[r],
             residual=float(final_resid[i]),
-            residual_history=history[:n_it, r].tolist() + [float(final_resid[i])],
             n_iters=n_it,
             n_evals=2 * k * (n_it + 1),
         )
@@ -364,6 +343,29 @@ def subspace_iteration(
     return result
 
 
+def _dense_k(top_k: int | None, d: int) -> int:
+    """The number of leading pairs a dense oracle returns: top_k clamped to d, or all d."""
+    k = d if top_k is None else min(top_k, d)
+    if k < 1:
+        raise BadRangeError(f"top_k must be >= 1, got {top_k}")
+    return k
+
+
+def _dense_result(vals, vecs, k, sigma, n_evals, asymmetry=None) -> SpectralResult:
+    """A dense oracle's result: the k leading pairs of a descending eigendecomposition."""
+    raw = vals[:k]
+    return SpectralResult(
+        eigenvalues=np.clip(raw, 0.0, None),
+        raw_eigenvalues=raw.copy(),
+        eigenvectors=vecs[:, :k],
+        sigma=float(sigma),
+        residual=0.0,
+        n_iters=0,
+        n_evals=n_evals,
+        asymmetry=asymmetry,
+    )
+
+
 def exact_spectrum(
     denoiser,
     x_t: np.ndarray,
@@ -385,26 +387,13 @@ def exact_spectrum(
     d = x_t.shape[0]
     if d > MAX_DENSE_DIM:
         raise DimTooLargeError(f"dense oracle limited to d <= {MAX_DENSE_DIM}, got {d}")
-    k = d if top_k is None else min(top_k, d)
-    if k < 1:
-        raise BadRangeError(f"top_k must be >= 1, got {top_k}")
+    k = _dense_k(top_k, d)
     fn = _as_denoise_fn(denoiser)
     h = fd_step if fd_step is not None else 1e-4 * max(1.0, float(np.max(np.abs(x_t))))
     jac = _jvp_stack(fn, x_t[None], np.eye(d)[None], np.array([h]), [(0, 1, sigma)])[0]
     asym = float(np.max(np.abs(jac - jac.T)))
     vals, vecs = sym_eig((sigma * sigma) * jac)
-    raw = vals[:k]
-    return SpectralResult(
-        eigenvalues=np.clip(raw, 0.0, None),
-        raw_eigenvalues=raw.copy(),
-        eigenvectors=vecs[:, :k],
-        sigma=float(sigma),
-        residual=0.0,
-        residual_history=[],
-        n_iters=0,
-        n_evals=2 * d,
-        asymmetry=asym,
-    )
+    return _dense_result(vals, vecs, k, sigma, n_evals=2 * d, asymmetry=asym)
 
 
 def analytic_spectrum(model, x_t: np.ndarray, sigma: float, top_k: int | None = None) -> SpectralResult:
@@ -416,16 +405,4 @@ def analytic_spectrum(model, x_t: np.ndarray, sigma: float, top_k: int | None = 
         )
     stats = post(np.asarray(x_t, dtype=float), sigma)
     vals, vecs = sym_eig(stats.cov)
-    d = vals.shape[0]
-    k = d if top_k is None else min(top_k, d)
-    raw = vals[:k]
-    return SpectralResult(
-        eigenvalues=np.clip(raw, 0.0, None),
-        raw_eigenvalues=raw.copy(),
-        eigenvectors=vecs[:, :k],
-        sigma=float(sigma),
-        residual=0.0,
-        residual_history=[],
-        n_iters=0,
-        n_evals=0,
-    )
+    return _dense_result(vals, vecs, _dense_k(top_k, vals.shape[0]), sigma, n_evals=0)

@@ -432,6 +432,17 @@ def test_eval_rejects_foreign_csv(tmp_path):
     assert main(["eval", "--ind", str(bad), "--ood", str(ok)]) == 2
 
 
+@pytest.mark.parametrize("row", ["1,np.float64(2.0)", "1"])
+def test_eval_rejects_malformed_score_row(tmp_path, capsys, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"id,score\n0,1.5\n{row}\n")
+    ok = tmp_path / "ok.csv"
+    ok.write_text("id,score\n0,1.5\n")
+    assert main(["eval", "--ind", str(ok), "--ood", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}, line 3" in err
+
+
 def test_missing_file_is_io_error(cfg_path, tmp_path):
     assert main(
         ["fit", "--config", cfg_path, "--data", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "c.json")]

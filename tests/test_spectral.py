@@ -88,7 +88,6 @@ def test_subspace_eval_count_and_iterations():
     res = subspace_iteration(g, np.zeros(3), 1.0, cfg, rng=RngStream(0))
     assert res.n_iters == 7
     assert res.n_evals == 2 * 2 * (7 + 1)
-    assert len(res.residual_history) == 8
 
 
 def test_subspace_early_stop_cuts_iterations():
@@ -194,7 +193,7 @@ def assert_same_result(got, want):
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
     assert np.array_equal(got.raw_eigenvalues, want.raw_eigenvalues)
     assert np.array_equal(got.eigenvectors, want.eigenvectors)
-    assert got.residual_history == want.residual_history
+    assert got.residual == want.residual
     assert got.n_iters == want.n_iters
     assert got.n_evals == want.n_evals
 
@@ -216,15 +215,26 @@ def test_batch_matches_sequential_bitwise():
 
 @pytest.mark.parametrize(
     "d, top_k, model",
-    [(16, 4, "mixture"), (24, 5, "mixture"), (33, 8, "mixture"), (40, 1, "mixture"), (33, 4, "matmul")],
+    [
+        (16, 4, "mixture"),
+        (24, 5, "mixture"),
+        (33, 8, "mixture"),
+        (40, 1, "mixture"),
+        (33, 4, "matmul"),
+        (16, 4, "elementwise"),
+    ],
 )
 def test_batch_matches_sequential_bitwise_high_dim(d, top_k, model):
     # a row in a 12-row batch equals the same row alone; at d >= 16 numpy
     # sums contiguous axes pairwise and strided ones in sequence, so this
     # only holds if a row's layouts do not change with the row count.  The
-    # mixture returns Fortran-ordered rows, a matmul C-ordered ones
+    # mixture and the matmul return C-ordered rows, the elementwise callable
+    # keeps the Fortran order of the points it is given
     if model == "mixture":
         g = random_mixture(d, 3, seed=d)
+    elif model == "elementwise":
+        def g(x, sigma):
+            return x * (1.0 - 0.1 * x * x)
     else:
         a = np.random.default_rng(d).standard_normal((d, d))
         g = LinearDenoiser(0.5 * (a + a.T))
@@ -235,7 +245,7 @@ def test_batch_matches_sequential_bitwise_high_dim(d, top_k, model):
     batch = subspace_iteration_batch(g, x_ts, 0.8, cfg, rngs)
     for r in range(12):
         assert_same_result(batch[r], subspace_iteration(g, x_ts[r], 0.8, cfg, rng=rngs[r]))
-    if model == "mixture" and top_k > 1:
+    if model != "matmul" and top_k > 1:
         # rows leave the stack at different sweeps
         assert len({res.n_iters for res in batch}) > 1
 
@@ -454,6 +464,14 @@ def test_exact_spectrum_top_k_and_guard():
     big = np.zeros(5000)
     with pytest.raises(DimTooLargeError):
         exact_spectrum(lambda x, s: x, big, 1.0)
+
+
+@pytest.mark.parametrize("top_k", [-1, 0])
+def test_dense_oracles_reject_top_k_below_one(top_k):
+    g = GaussianMixture.single(np.zeros(3), np.diag([3.0, 1.0, 0.1]))
+    for oracle in (exact_spectrum, analytic_spectrum):
+        with pytest.raises(BadRangeError, match="top_k must be >= 1"):
+            oracle(g, np.zeros(3), 1.0, top_k=top_k)
 
 
 def test_analytic_spectrum_requires_posterior_cov():
