@@ -12,6 +12,7 @@ never needs a fresh factorization.
 """
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -50,24 +51,25 @@ def logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
 
     Same arithmetic as scipy's: the maxima are taken out of the sum and
     counted, the rest is shifted by the maximum, and the result is
-    log1p(s / m) + log(m) + max.  Entries that come out non-finite (all
-    -inf, any +inf or NaN) fall back to log(sum(exp(a))), as in scipy.
-    Skipping scipy's array-API dispatch makes it several times faster on
-    the small arrays a denoiser call reduces.
+    log1p(s / m) + log(m) + max (m = 0 only with a NaN max, and s is then
+    NaN too).  Entries that come out non-finite (all -inf, any +inf or NaN)
+    fall back to log(sum(exp(a))), as in scipy.  On a denoiser call's small
+    arrays the cost is per numpy call, so the ufuncs' reduce is called
+    directly: np.max and np.sum add µs of Python wrapper each.
     """
     a = np.asarray(a, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
+        a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
         at_max = a == a_max
-        m = np.sum(at_max, axis=axis, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
+        m = np.add.reduce(at_max, axis=axis, keepdims=True, dtype=float)
+        s = np.add.reduce(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        s /= m
         out = np.log1p(s) + np.log(m) + a_max
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            out = np.where(bad, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
+        ok = np.isfinite(out)
+        if not ok.all():
+            out = np.where(ok, out, np.log(np.add.reduce(np.exp(a), axis=axis, keepdims=True)))
     if not keepdims:
-        out = np.squeeze(out, axis=axis)
+        out = out.squeeze(axis)
     return out[()] if out.ndim == 0 else out
 
 
@@ -186,9 +188,9 @@ class GaussianMixture:
         postcov = sigma^2 C_i (C_i + sigma^2 I)^-1  (per-component posterior cov)
         lognorm = log w_i - (d/2) log 2pi - (1/2) log det(C_i + sigma^2 I)
         """
-        if sigma <= 0.0:
-            raise BadRangeError(f"sigma must be positive, got {sigma}")
         key = float(sigma)
+        if not (key > 0.0 and math.isfinite(key * key)):
+            raise BadRangeError(f"sigma must be positive with a finite square, got {sigma}")
         hit = self._sigma_cache.get(key)
         if hit is not None:
             return hit
@@ -246,8 +248,10 @@ class GaussianMixture:
             np.subtract(x2[None, start:stop], self.means[:, None], out=dx)
             np.matmul(dx, inv_t, out=z)
             np.multiply(z, dx, out=prod)
-            quad = np.sum(prod, axis=2)
-            yield slice(start, stop), lognorm[:, None] - 0.5 * quad, z
+            logc = np.add.reduce(prod, axis=2)
+            logc *= -0.5
+            logc += lognorm[:, None]
+            yield slice(start, stop), logc, z
             start = stop
 
     def _workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -291,22 +295,25 @@ class GaussianMixture:
             r[:, rows] = np.exp(logc - logsumexp(logc, axis=0, keepdims=True))
         return r[:, 0] if single else r.T
 
+    def _pull(self, x2: np.ndarray, sigma: float) -> np.ndarray:
+        """Minus the score, sum_i r_i z_i (the pull to mean i is -z_i), C-ordered."""
+        out = np.empty(x2.shape)  # C-ordered whatever x's layout, as callers expect
+        for rows, logc, z in self._components(x2, sigma):
+            logc -= logsumexp(logc, axis=0, keepdims=True)
+            np.einsum("mb,mbi->bi", np.exp(logc, out=logc), z, out=out[rows])
+        return out
+
     def score(self, x, sigma: float):
         """Gradient of the noisy log density at x_t."""
         x2, single = self._as_batch(x)
-        out = np.empty(x2.shape)  # C-ordered whatever x's layout, as callers expect
-        for rows, logc, z in self._components(x2, sigma):
-            r = np.exp(logc - logsumexp(logc, axis=0, keepdims=True))  # (m, b)
-            np.einsum("mb,mbi->bi", r, z, out=out[rows])
-        # the pull towards mean i is inv_i (mu_i - x) = -z_i
+        out = self._pull(x2, sigma)
         np.negative(out, out=out)
         return out[0] if single else out
 
     def denoise(self, x, sigma: float):
         """Minimum-MSE denoiser E[x | x_t] = x_t + sigma^2 * score(x_t).
 
-        This is the same code path used to verify the posterior-mean/score
-        identity, so the two agree exactly by construction.
+        x_t - sigma^2 * (minus the score) rounds exactly as that sum does.
 
         For B >= 2 rows, a row's output is bit-identical whatever other rows
         share the call, whichever block it falls in and whatever the input's
@@ -317,7 +324,9 @@ class GaussianMixture:
         differ from the same point in a batch in the last bits.
         """
         x2, single = self._as_batch(x)
-        out = x2 + (sigma * sigma) * self.score(x2, sigma)
+        out = self._pull(x2, sigma)
+        out *= sigma * sigma
+        np.subtract(x2, out, out=out)
         return out[0] if single else out
 
     def posterior_cov(self, x, sigma: float) -> PosteriorStats:

@@ -21,7 +21,7 @@ RANK_TOL = 1e-10
 
 
 def _check_finite(a: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
 
 
@@ -58,9 +58,9 @@ def qr_orthonormalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DimMismatchError(f"need k <= n, got shape {a.shape}")
     _check_finite(a, "matrix")
     q, r = np.linalg.qr(a, mode="reduced")
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    smallest = np.min(np.abs(diag), axis=-1)
-    if np.any(smallest < RANK_TOL):
+    diag = r.diagonal(axis1=-2, axis2=-1)
+    smallest = np.minimum.reduce(np.abs(diag), axis=-1)
+    if (smallest < RANK_TOL).any():
         if a.ndim == 2:
             raise RankDeficientError(
                 f"column residual {smallest:.3e} below {RANK_TOL:.0e}"
@@ -68,7 +68,7 @@ def qr_orthonormalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bad = np.flatnonzero(smallest < RANK_TOL)
         raise RankDeficientError(
             f"matrices {bad.tolist()}: column residual "
-            f"{np.min(smallest):.3e} below {RANK_TOL:.0e}",
+            f"{smallest.min():.3e} below {RANK_TOL:.0e}",
             indices=bad.tolist(),
         )
     flip = np.where(diag < 0.0, -1.0, 1.0)

@@ -97,11 +97,16 @@ def _eval_batch(fn, points: np.ndarray, sigma: float) -> np.ndarray:
         raise DimMismatchError(
             f"denoiser returned shape {out.shape} for points of shape {points.shape}"
         )
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteDenoiserOutputError(
             f"denoiser returned non-finite values at sigma={sigma}"
         )
     return out
+
+
+def _col_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, axis=1) of a real stack, by numpy's own arithmetic."""
+    return np.sqrt(np.add.reduce(a * a, axis=1))
 
 
 def _check_fd_step(c: float, sigma: float) -> None:
@@ -127,7 +132,7 @@ def jvp(denoiser, x_t: np.ndarray, sigma: float, v: np.ndarray, c: float) -> np.
         raise DimMismatchError(f"shapes {x_t.shape} and {v.shape} must be equal 1-d")
     if not np.any(v != 0.0):
         raise BadRangeError("direction v must be non-zero")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise BadRangeError(f"sigma must be positive, got {sigma}")
     _check_fd_step(c, sigma)
     fn = _as_denoise_fn(denoiser)
@@ -215,7 +220,7 @@ def subspace_iteration_batch(
         sigmas = np.full(n_rows, sigmas)
     if sigmas.shape != (n_rows,):
         raise DimMismatchError(f"{n_rows} points but sigma of shape {sigmas.shape}")
-    if not np.all(sigmas > 0.0):
+    if not (sigmas > 0.0).all():
         raise BadRangeError(f"sigma must be positive, got {sigmas[~(sigmas > 0.0)][0]}")
     if config.top_k < 1 or config.n_iters < 1:
         raise BadRangeError("top_k and n_iters must be >= 1")
@@ -248,8 +253,8 @@ def subspace_iteration_batch(
     prev = None
     for sweep in range(config.n_iters):
         products = _jvp_stack(fn, xa, cols, c[act], runs(act))
-        lam = s2[act][:, None] * np.linalg.norm(products, axis=1) / np.linalg.norm(cols, axis=1)
-        top = np.maximum(np.max(lam, axis=1), 1e-300)
+        lam = s2[act][:, None] * _col_norms(products) / _col_norms(cols)
+        top = np.maximum(np.maximum.reduce(lam, axis=1), 1e-300)
         try:
             cols, _ = qr_orthonormalize(products)
         except RankDeficientError as e:
@@ -268,7 +273,7 @@ def subspace_iteration_batch(
 
         est = np.sort(lam, axis=1)[:, ::-1]
         if prev is not None and check_stop:
-            done = np.all(
+            done = np.logical_and.reduce(
                 np.abs(est - prev)
                 <= config.early_stop_tol * np.maximum(prev, 1e-12 * top[:, None]),
                 axis=1,
@@ -293,17 +298,12 @@ def subspace_iteration_batch(
     cols = final_cols[fin]
     products = _jvp_stack(fn, x_ts[fin], cols, c[fin], runs(fin))
     s2 = s2[fin][:, None]
-    lam_mag = s2 * np.linalg.norm(products, axis=1)
+    lam_mag = s2 * _col_norms(products)
     sign = np.where(np.einsum("rij,rij->rj", cols, products) < 0.0, -1.0, 1.0)
     raw = sign * lam_mag
-    top = np.maximum(np.max(lam_mag, axis=1), 1e-300)
-    final_resid = (
-        np.max(
-            np.linalg.norm(s2[:, None] * products - raw[:, None, :] * cols, axis=1),
-            axis=1,
-        )
-        / top
-    )
+    top = np.maximum(np.maximum.reduce(lam_mag, axis=1), 1e-300)
+    resid = _col_norms(s2[:, None] * products - raw[:, None, :] * cols)
+    final_resid = np.maximum.reduce(resid, axis=1) / top
     order = np.argsort(raw, axis=1)[:, ::-1]
     raw = np.take_along_axis(raw, order, axis=1)
     vecs = np.take_along_axis(cols, order[:, None, :], axis=2)
@@ -382,7 +382,7 @@ def exact_spectrum(
     x_t = np.asarray(x_t, dtype=float)
     if x_t.ndim != 1:
         raise DimMismatchError(f"x_t must be 1-d, got shape {x_t.shape}")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise BadRangeError(f"sigma must be positive, got {sigma}")
     d = x_t.shape[0]
     if d > MAX_DENSE_DIM:

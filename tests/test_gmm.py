@@ -1,4 +1,5 @@
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -375,3 +376,69 @@ def test_logsumexp_bit_identical_to_scipy():
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
     assert logsumexp(np.array([1.0, 2.0]), axis=0) == scipy.special.logsumexp([1.0, 2.0])
+
+
+def logsumexp_cases():
+    """The cases of test_logsumexp_bit_identical_to_scipy, then NaN ones."""
+    gen = np.random.default_rng(0)
+    base = gen.standard_normal((5, 9)) * 30.0
+    cases = [
+        base,
+        np.round(base / 30.0),
+        np.full((3, 4), 2.5),
+        np.where(gen.random((5, 9)) < 0.4, -np.inf, base),
+        np.full((4, 3), -np.inf),
+        base * 1e306,
+        np.asfortranarray(base),
+        base.T,
+        np.array([[1e308, 1e308], [-1e308, 5.0]]),
+    ]
+    inf_col = base.copy()
+    inf_col[2, 3] = np.inf
+    nan_col = base.copy()
+    nan_col[:, 4] = np.nan  # a column that is all NaN: no entry equals its max
+    nan_inf = base.copy()
+    nan_inf[0, 0], nan_inf[1, 0], nan_inf[3, 1] = np.nan, np.inf, -np.inf
+    nan_entries = np.where(gen.random((5, 9)) < 0.3, np.nan, base)
+    return cases + [inf_col, nan_col, nan_inf, nan_entries]
+
+
+def test_logsumexp_warning_free_and_bit_identical_to_scipy():
+    # every step runs under one errstate block; a restatement that lets an
+    # overflow or invalid-value warning out may keep the bits but fails here
+    for a in logsumexp_cases():
+        for axis in (0, 1):
+            for keepdims in (False, True):
+                with np.errstate(all="ignore"):  # scipy's own a - max(a)
+                    want = scipy.special.logsumexp(a, axis=axis, keepdims=keepdims)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = logsumexp(a, axis=axis, keepdims=keepdims)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 24, 65])
+@pytest.mark.parametrize("m", [1, 3])
+def test_denoise_equals_tweedie_update_bitwise_broadly(d, m):
+    # denoise subtracts sigma^2 times minus the score, which must round as
+    # x + sigma^2 * score does for any row count, layout and noise level
+    g = random_mixture(d, m, seed=100 + 10 * d + m)
+    x = 2.0 * np.random.default_rng(d + m).standard_normal((block_rows(m, d) + 1, d))
+    for b in (1, 2, x.shape[0]):
+        for xs in (x[:b], np.asfortranarray(x[:b])):
+            for s in (0.05, 0.8, 5.0):
+                want = xs + s * s * g.score(xs, s)
+                assert g.denoise(xs, s).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, 1e200])
+@pytest.mark.parametrize(
+    "op", ["noisy_logpdf", "responsibilities", "score", "denoise", "posterior_cov"]
+)
+def test_sigma_must_have_a_finite_square(op, sigma):
+    # NaN, inf and a sigma whose square overflows used to give NaN or -inf
+    # results, some with no warning at all
+    g = GaussianMixture([0.4, 0.6], [[0.0, 0.0], [2.0, 1.0]], [np.eye(2), 0.5 * np.eye(2)])
+    with pytest.raises(BadRangeError, match="finite square"):
+        getattr(g, op)(np.array([0.5, -1.0]), sigma)

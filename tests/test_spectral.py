@@ -11,10 +11,13 @@ from eigenscore.errors import (
     RankDeficientError,
 )
 from eigenscore.gmm import GaussianMixture
+from eigenscore.linalg import qr_orthonormalize
 from eigenscore.mlp import MlpDenoiser
 from eigenscore.rng import RngStream
 from eigenscore.spectral import (
     SpectralConfig,
+    _col_norms,
+    _jvp_stack,
     analytic_spectrum,
     exact_spectrum,
     jvp,
@@ -487,3 +490,37 @@ def test_analytic_spectrum_values():
     res = analytic_spectrum(g, np.array([1.0, 1.0]), 1.0)
     want = np.sort(c / (c + 1.0))[::-1]
     assert np.allclose(res.eigenvalues, want, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda f, g, x: analytic_spectrum(g, x, np.nan),
+        lambda f, g, x: jvp(f, x, np.nan, np.ones(2), 1e-3),
+        lambda f, g, x: exact_spectrum(f, x, np.nan),
+    ],
+    ids=["analytic_spectrum", "jvp", "exact_spectrum"],
+)
+def test_nan_sigma_is_bad_range(op):
+    # a NaN sigma passed `sigma <= 0` and surfaced later as a misleading
+    # NonFiniteError, or not at all
+    g = GaussianMixture([0.4, 0.6], [[0.0, 0.0], [2.0, 1.0]], [np.eye(2), 0.5 * np.eye(2)])
+    with pytest.raises(BadRangeError):
+        op(lambda x, s: 0.5 * x, g, np.array([0.5, -1.0]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 33, 64])
+def test_col_norms_match_linalg_norm_bitwise(d):
+    # the sweep's norms restate np.linalg.norm(a, axis=1) for real input; a
+    # numpy release that changes norm's arithmetic fails here by name
+    gen = np.random.default_rng(d)
+    g = GaussianMixture([0.3, 0.7], 2.0 * gen.standard_normal((2, d)), [np.eye(d), 0.5 * np.eye(d)])
+    for n in (1, 2, 7):
+        for k in sorted({1, min(3, d), d}):
+            x = gen.standard_normal((n, d))
+            cols = gen.standard_normal((n, d, k))
+            products = _jvp_stack(g.denoise, x, cols, np.full(n, 1e-3), [(0, n, 0.8)])
+            q, _ = qr_orthonormalize(products)
+            resid = 0.64 * products - gen.standard_normal((n, 1, k)) * q
+            for a in (products, q, resid, cols):
+                assert _col_norms(a).tobytes() == np.linalg.norm(a, axis=1).tobytes()
