@@ -159,10 +159,6 @@ def cmd_fit(args) -> int:
 
 def cmd_score(args) -> int:
     calib = Calibration.from_dict(cfgmod.load_calibration_doc(args.calibration))
-    if args.metric is not None and args.metric != calib.metric:
-        raise ConfigError(
-            f"--metric {args.metric} conflicts with calibration metric {calib.metric}"
-        )
     if args.export_components is not None and calib.metric in BASELINES:
         raise ConfigError(
             f"--export-components needs an eigenscore calibration, got {calib.metric}"
@@ -272,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, threads=False, metric=False):
+    def add_common(p, threads=False):
         p.add_argument("--config", required=True, help="JSON run configuration")
         if threads:
             p.add_argument(
@@ -281,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="worker threads (default: EIGENSCORE_THREADS or 1)",
             )
-        if metric:
-            p.add_argument("--metric", choices=METRICS, default=None)
 
     p = sub.add_parser("gen-data", help="sample a dataset from an analytic mixture")
     add_common(p)
@@ -298,14 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("fit", help="calibrate a metric on training data")
-    add_common(p, threads=True, metric=True)
-    p.set_defaults(metric=METRICS[0])
+    add_common(p, threads=True)
+    p.add_argument("--metric", choices=METRICS, default=METRICS[0])
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("score", help="score samples against a calibration")
-    add_common(p, threads=True, metric=True)
+    add_common(p, threads=True)
     p.add_argument("--calibration", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)

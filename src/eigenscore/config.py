@@ -47,7 +47,9 @@ def _numbers(validator, depth, instance, schema):
     yield from _number_errors(instance, depth, ())
 
 
-_Validator = extend(Draft202012Validator, {"numbers": _numbers})
+# JSON Schema counts 2.0 as an integer, which range() and shapes reject
+_INTEGER = Draft202012Validator.TYPE_CHECKER.redefine("integer", lambda _, v: type(v) is int)
+_Validator = extend(Draft202012Validator, {"numbers": _numbers}, type_checker=_INTEGER)
 
 MODEL_GMM_SCHEMA = {
     "type": "object",
@@ -86,7 +88,16 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "seed": {"type": "integer", "minimum": 0},
-        "model": {"oneOf": [MODEL_GMM_SCHEMA, MODEL_MLP_SCHEMA]},
+        # dispatch on kind, so an error names the field of the kind given
+        "model": {
+            "type": "object",
+            "required": ["kind"],
+            "properties": {"kind": {"enum": ["gmm", "mlp"]}},
+            "allOf": [
+                {"if": {"properties": {"kind": {"const": kind}}}, "then": schema}
+                for kind, schema in (("gmm", MODEL_GMM_SCHEMA), ("mlp", MODEL_MLP_SCHEMA))
+            ],
+        },
         "schedule": {
             "type": "object",
             "additionalProperties": False,

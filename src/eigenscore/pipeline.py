@@ -404,13 +404,12 @@ def tune(
     train_features: list[EigenFeature],
     val_ind_features: list[EigenFeature],
     val_ood_features,
-    timesteps_grid=None,
-    aggregations=AGGREGATIONS,
 ) -> TuneResult:
     """Pick (timesteps, aggregation) maximizing validation AUROC.
 
     All features must carry every repetition (aggregation "all") over the
-    full timestep list; candidates are evaluated by reducing them.  Ties
+    full timestep list; every contiguous run of those timesteps, under
+    every aggregation, is a candidate, evaluated by reducing them.  Ties
     prefer fewer timesteps, then mean over median over all.  Without
     validation out-of-distribution data the configured defaults are
     returned with a warning.
@@ -421,12 +420,10 @@ def tune(
     if not val_ood_features:
         log.warning("no validation out-of-distribution data; keeping default timesteps and mean aggregation")
         return TuneResult(timesteps=full_t, aggregation="mean", auroc=float("nan"), table=[])
-    if timesteps_grid is None:
-        timesteps_grid = contiguous_subsets(full_t)
     agg_rank = {a: i for i, a in enumerate(AGGREGATIONS)}
     table = []
-    for ts in timesteps_grid:
-        for agg in aggregations:
+    for ts in contiguous_subsets(full_t):
+        for agg in AGGREGATIONS:
             calib = fit_calibration(
                 [reduce_feature(f, ts, agg) for f in train_features], agg
             )

@@ -366,17 +366,24 @@ def _dense_result(vals, vecs, k, sigma, n_evals, asymmetry=None) -> SpectralResu
     )
 
 
+def _fd_jacobian(fn, x_t: np.ndarray, sigma: float) -> np.ndarray:
+    """Central-difference Jacobian of fn(., sigma) at the 1-d point x_t, all
+    2d points in one call, with the step h = 1e-4 * max(1, max |x_t|)."""
+    d = x_t.shape[0]
+    h = 1e-4 * max(1.0, float(np.max(np.abs(x_t))))
+    return _jvp_stack(fn, x_t[None], np.eye(d)[None], np.array([h]), [(0, 1, sigma)])[0]
+
+
 def exact_spectrum(
     denoiser,
     x_t: np.ndarray,
     sigma: float,
     top_k: int | None = None,
-    fd_step: float | None = None,
 ) -> SpectralResult:
     """Dense finite-difference oracle for the same spectrum.
 
-    Builds the full Jacobian column by column with central differences
-    (2d evaluations), symmetrizes, and solves the dense symmetric
+    Builds the full Jacobian with central differences (`_fd_jacobian`, 2d
+    evaluations), symmetrizes, and solves the dense symmetric
     eigenproblem.  Guarded to d <= 4096.
     """
     x_t = np.asarray(x_t, dtype=float)
@@ -388,9 +395,7 @@ def exact_spectrum(
     if d > MAX_DENSE_DIM:
         raise DimTooLargeError(f"dense oracle limited to d <= {MAX_DENSE_DIM}, got {d}")
     k = _dense_k(top_k, d)
-    fn = _as_denoise_fn(denoiser)
-    h = fd_step if fd_step is not None else 1e-4 * max(1.0, float(np.max(np.abs(x_t))))
-    jac = _jvp_stack(fn, x_t[None], np.eye(d)[None], np.array([h]), [(0, 1, sigma)])[0]
+    jac = _fd_jacobian(_as_denoise_fn(denoiser), x_t, sigma)
     asym = float(np.max(np.abs(jac - jac.T)))
     vals, vecs = sym_eig((sigma * sigma) * jac)
     return _dense_result(vals, vecs, k, sigma, n_evals=2 * d, asymmetry=asym)

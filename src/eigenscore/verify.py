@@ -18,10 +18,7 @@ from .errors import NotPSDError, NotSingleGaussianError
 from .gmm import GaussianMixture, kl_gaussians
 from .linalg import qr_orthonormalize, sym_eig
 from .rng import LANE_DATA, RngStream
-from .spectral import SpectralConfig, exact_spectrum, subspace_iteration
-
-DEFAULT_SIGMA_RANGE = (1e-3, 1e3)
-DEFAULT_GRID = 400
+from .spectral import SpectralConfig, _fd_jacobian, exact_spectrum, subspace_iteration
 
 
 @dataclass
@@ -77,9 +74,9 @@ class VerifyReport:
 # -- random test-case generators ------------------------------------------
 
 
-def random_spd(gen: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
+def random_spd(gen: np.random.Generator, d: int) -> np.ndarray:
     a = gen.standard_normal((d, d))
-    return scale * (a @ a.T / d + 0.05 * np.eye(d))
+    return a @ a.T / d + 0.05 * np.eye(d)
 
 
 def random_gaussian(gen: np.random.Generator, d: int) -> GaussianMixture:
@@ -127,6 +124,9 @@ def random_benchmark_case(gen: np.random.Generator):
 
 
 def _pair_factors(p: GaussianMixture, q: GaussianMixture, sigma: float):
+    for g, name in ((p, "p"), (q, "q")):
+        if g.n_components != 1:
+            raise NotSingleGaussianError(f"{name} has {g.n_components} components")
     d = p.dim
     eye = np.eye(d)
     s2 = sigma * sigma
@@ -143,9 +143,6 @@ def denoising_gap(p: GaussianMixture, q: GaussianMixture, sigma: float) -> float
     under x_t ~ N(mu_p, C_p + sigma^2 I) the gap has mean (I - A_q) delta
     and covariance (A_p - A_q) S_t (A_p - A_q)^T.
     """
-    for g, name in ((p, "p"), (q, "q")):
-        if g.n_components != 1:
-            raise NotSingleGaussianError(f"{name} has {g.n_components} components")
     tp, tq, delta, eye = _pair_factors(p, q, sigma)
     a_p = np.linalg.solve(tp.T, p.covariances[0].T).T
     a_q = np.linalg.solve(tq.T, q.covariances[0].T).T
@@ -156,9 +153,6 @@ def denoising_gap(p: GaussianMixture, q: GaussianMixture, sigma: float) -> float
 
 def score_gap(p: GaussianMixture, q: GaussianMixture, sigma: float) -> float:
     """E_p[ ||grad log p_t - grad log q_t||^2 ] for Gaussian p, q."""
-    for g, name in ((p, "p"), (q, "q")):
-        if g.n_components != 1:
-            raise NotSingleGaussianError(f"{name} has {g.n_components} components")
     tp, tq, delta, _ = _pair_factors(p, q, sigma)
     mean_gap = np.linalg.solve(tq, delta)
     diff = np.linalg.inv(tq) - np.linalg.inv(tp)
@@ -169,32 +163,24 @@ def score_gap(p: GaussianMixture, q: GaussianMixture, sigma: float) -> float:
 class KlQuadResult:
     value: float
     tail: float
-    head: float
     sigmas: np.ndarray
     integrand: np.ndarray
 
 
-def kl_quadrature(
-    p: GaussianMixture,
-    q: GaussianMixture,
-    route: str = "denoising",
-    sigma_range=DEFAULT_SIGMA_RANGE,
-    n_grid: int = DEFAULT_GRID,
-) -> KlQuadResult:
+def kl_quadrature(p: GaussianMixture, q: GaussianMixture, route: str = "denoising") -> KlQuadResult:
     """KL(p || q) as an integral of per-noise-level gaps.
 
     denoising route: integrand = denoising_gap / sigma^3
     score route:     integrand = sigma * score_gap
 
     The two integrands are equal for Gaussians, so the routes differ only
-    by roundoff.  Trapezoid on a log-spaced grid converges fast here: in
-    log-sigma the integrand decays like exp(-2|u|) on both sides.  The
-    reported tail is the ||delta||^2 / (2 sigma_max^2) estimate of the
-    truncated upper end; the head term is the linear-decay estimate of
-    the truncated lower end.
+    by roundoff.  Trapezoid on a 400-point log-spaced grid over sigma in
+    [1e-3, 1e3] converges fast here: in log-sigma the integrand decays like
+    exp(-2|u|) on both sides.  The reported tail is the
+    ||delta||^2 / (2 sigma_max^2) estimate of the truncated upper end.
     """
-    lo, hi = sigma_range
-    sigmas = np.exp(np.linspace(np.log(lo), np.log(hi), n_grid))
+    hi = 1e3
+    sigmas = np.exp(np.linspace(np.log(1e-3), np.log(hi), 400))
     if route == "denoising":
         f = np.array([denoising_gap(p, q, s) / s**3 for s in sigmas])
     elif route == "score":
@@ -205,8 +191,7 @@ def kl_quadrature(
     value = float(np.trapezoid(f * sigmas, np.log(sigmas)))
     delta = p.means[0] - q.means[0]
     tail = float(delta @ delta / (2.0 * hi * hi))
-    head = float(0.5 * f[0] * lo)
-    return KlQuadResult(value=value + tail, tail=tail, head=head, sigmas=sigmas, integrand=f)
+    return KlQuadResult(value=value + tail, tail=tail, sigmas=sigmas, integrand=f)
 
 
 def mc_denoising_gap(p, q, sigma: float, n: int, rng: RngStream):
@@ -290,24 +275,14 @@ def verify_kl(seed: int = 0) -> list[VerifyCheck]:
     return checks
 
 
-def _fd_jacobian(f, x, h):
-    """Central-difference Jacobian of f at x, one column per coordinate."""
-    d = x.shape[0]
-    jac = np.empty((d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        jac[:, j] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return jac
-
-
 def verify_posterior_identities(seed: int = 0) -> list[VerifyCheck]:
     """Posterior mean vs score, and posterior covariance vs two derivatives.
 
     The posterior mean must equal x_t + sigma^2 * score (exact: shared code
     path), and the posterior covariance must match both sigma^2 (I +
     sigma^2 H) for the score derivative H and sigma^2 J for the denoiser
-    derivative J, checked by central differences.
+    derivative J, checked by the dense central differences of
+    `exact_spectrum`.
     """
     gen = RngStream(seed, (LANE_DATA, 2)).generator()
     worst_mean = 0.0
@@ -334,13 +309,12 @@ def verify_posterior_identities(seed: int = 0) -> list[VerifyCheck]:
         assembly_gap = np.max(np.abs(stats.mean - model.denoise(x_t, sigma)))
         worst_assembly = max(worst_assembly, float(assembly_gap))
 
-        h = 1e-4 * max(1.0, float(np.max(np.abs(x_t))))
-        hess = _fd_jacobian(lambda y: model.score(y, sigma), x_t, h)
+        hess = _fd_jacobian(model.score, x_t, sigma)
         hess = 0.5 * (hess + hess.T)
         cov_from_score = s2 * (np.eye(d) + s2 * hess)
         worst_hess = max(worst_hess, float(np.max(np.abs(cov_from_score - stats.cov))))
 
-        jac = _fd_jacobian(lambda y: model.denoise(y, sigma), x_t, h)
+        jac = _fd_jacobian(model.denoise, x_t, sigma)
         cov_from_jac = s2 * 0.5 * (jac + jac.T)
         worst_jac = max(worst_jac, float(np.max(np.abs(cov_from_jac - stats.cov))))
     return [
@@ -371,8 +345,9 @@ def verify_posterior_identities(seed: int = 0) -> list[VerifyCheck]:
     ]
 
 
-def verify_error_trace(seed: int = 0, n: int = 100000) -> list[VerifyCheck]:
+def verify_error_trace(seed: int = 0) -> list[VerifyCheck]:
     """Paired Monte Carlo: squared denoising error vs posterior-trace mean."""
+    n = 100000
     gen = RngStream(seed, (LANE_DATA, 4)).generator()
     model = random_mixture(gen, 2, 2)
     sigma = 1.0
@@ -411,7 +386,8 @@ def spectrum_deviation(model: GaussianMixture, sigma: float, n_points: int, rng:
     return worst
 
 
-def verify_spectrum_flattening(seed: int = 0, sigmas=(10.0, 30.0, 100.0)) -> list[VerifyCheck]:
+def verify_spectrum_flattening(seed: int = 0) -> list[VerifyCheck]:
+    sigmas = (10.0, 30.0, 100.0)
     checks = []
     # isotropic unit Gaussian: every eigenvalue is sigma^2/(1+sigma^2), so
     # the deviation is exactly 1/(1+sigma^2) at any point
@@ -459,14 +435,13 @@ def verify_spectrum_flattening(seed: int = 0, sigmas=(10.0, 30.0, 100.0)) -> lis
     return checks
 
 
-def verify_trace_bound(seed: int = 0, trials: int = 500) -> list[VerifyCheck]:
-    """tr(V^T C V) over orthonormal V never beats the top-k eigenvalue sum."""
+def verify_trace_bound(seed: int = 0) -> list[VerifyCheck]:
+    """tr(V^T C V) over 50 orthonormal V each for 10 matrices C never beats
+    the top-k eigenvalue sum."""
     gen = RngStream(seed, (LANE_DATA, 8)).generator()
     worst_excess = -np.inf
     worst_attain = 0.0
-    n_matrices = 10
-    per_matrix = trials // n_matrices
-    for mi in range(n_matrices):
+    for mi in range(10):
         d = int(gen.integers(3, 7))
         model = random_mixture(gen, d, 2)
         sigma = float(gen.choice([0.5, 1.0, 2.0]))
@@ -475,7 +450,7 @@ def verify_trace_bound(seed: int = 0, trials: int = 500) -> list[VerifyCheck]:
         vals, vecs = sym_eig(cov)
         if vals[-1] < -1e-8:
             raise NotPSDError(f"posterior covariance has eigenvalue {vals[-1]:.3e}")
-        for _ in range(per_matrix):
+        for _ in range(50):
             k = int(gen.integers(1, min(d, 3) + 1))
             v, _ = qr_orthonormalize(gen.standard_normal((d, k)))
             excess = float(np.trace(v.T @ cov @ v) - np.sum(vals[:k]))
@@ -489,7 +464,7 @@ def verify_trace_bound(seed: int = 0, trials: int = 500) -> list[VerifyCheck]:
             passed=worst_excess <= 1e-8,
             value=worst_excess,
             target="projected trace <= top-k eigenvalue sum + 1e-8",
-            detail=f"{trials} trials",
+            detail="500 trials",
         ),
         VerifyCheck(
             name="trace-bound/eigenbasis-attains",

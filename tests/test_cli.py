@@ -292,15 +292,17 @@ def test_zero_sigma_calibration_is_accepted(cfg_path, tmp_path):
 
 
 def test_metric_conflict_is_usage_error(cfg_path, tmp_path, capsys):
+    # score takes its metric from the calibration; --metric is fit's flag
     data, calib, _ = run_flow(cfg_path, tmp_path)
-    code = main(
-        [
-            "score", "--config", cfg_path, "--calibration", calib,
-            "--data", data, "--out", str(tmp_path / "x.csv"), "--metric", "mse",
-        ]
-    )
-    assert code == 2
-    assert "conflicts" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "score", "--config", cfg_path, "--calibration", calib,
+                "--data", data, "--out", str(tmp_path / "x.csv"), "--metric", "mse",
+            ]
+        )
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --metric mse" in capsys.readouterr().err
 
 
 def test_config_hash_mismatch_warns(cfg_path, tmp_path, caplog):
@@ -464,6 +466,34 @@ def test_invalid_config_is_usage_error(tmp_path):
     q = tmp_path / "unknown.json"
     q.write_text(json.dumps({"model": BASE_CFG["model"], "bogus": 1}))
     assert main(["gen-data", "--config", str(q), "--out", str(tmp_path / "d.bin")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [("gen-data", "data", "n", 6.0), ("fit", "feature", "n_reps", 2.0)],
+)
+def test_integral_float_config_is_usage_error(cfg_path, tmp_path, capsys, command, section, key, value):
+    data = str(tmp_path / "data.bin")
+    assert main(["gen-data", "--config", cfg_path, "--out", data]) == 0
+    bad = make_cfg(tmp_path, **{section: {key: value}})
+    argv = [command, "--config", bad, "--out", str(tmp_path / "out")]
+    if command == "fit":
+        argv += ["--data", data]
+    assert main(argv) == 2
+    assert f"invalid at {section}/{key}: {value} is not of type 'integer'" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_diverged_training_is_numerical_failure(cfg_path, tmp_path, capsys):
+    data = str(tmp_path / "data.bin")
+    assert main(["gen-data", "--config", cfg_path, "--out", data]) == 0
+    net_cfg = make_cfg(
+        tmp_path, name="mlp.json", train={"steps": 5, "batch_size": 4, "hidden": [4], "lr": 1e200}
+    )
+    net = tmp_path / "net.bin"
+    assert main(["train", "--config", net_cfg, "--data", data, "--out", str(net)]) == 4
+    assert "loss became non-finite" in capsys.readouterr().err
+    assert not net.exists() and not (tmp_path / "net.bin.json").exists()
 
 
 def test_gen_data_needs_analytic_model(cfg_path, tmp_path):

@@ -259,13 +259,71 @@ def test_bad_number_names_path_and_message(tmp_path, kind, field, depth, bad):
         holder[key] = value
         got = loaded_outcome(tmp_path, kind, doc)
         assert got == reference_outcome(kind, doc)
-        if level == 0 and field in (("model", "weights"), ("model", "means")):
-            # as with the per-item schema, best_match picks the equally
-            # shallow error with the smaller path: the mlp branch's kind
-            assert got == ("model/kind", "'mlp' was expected")
-            continue
         assert got[0] == "/".join(map(str, where))
         assert got[1].startswith(repr(value))
+
+
+@pytest.mark.parametrize(
+    "model, where, message",
+    [
+        (dict(GMM_MODEL, weights=0.5), "model/weights", "0.5 is not of type 'array'"),
+        (
+            {k: v for k, v in GMM_MODEL.items() if k != "covariances"},
+            "model",
+            "'covariances' is a required property",
+        ),
+        (
+            dict(GMM_MODEL, extra=1),
+            "model",
+            "Additional properties are not allowed ('extra' was unexpected)",
+        ),
+        ({"kind": "mlp"}, "model", "'checkpoint' is a required property"),
+        (dict(GMM_MODEL, kind="foo"), "model/kind", "'foo' is not one of ['gmm', 'mlp']"),
+    ],
+    ids=["scalar-weights", "no-covariances", "extra-key", "mlp-no-checkpoint", "unknown-kind"],
+)
+def test_model_error_names_the_field_of_its_kind(tmp_path, model, where, message):
+    assert loaded_outcome(tmp_path, "config", {"model": model}) == (where, message)
+
+
+def integer_paths(schema, path=()):
+    """The path of every integer in documents of the schema; an array's
+    entry is its item 0."""
+    if schema.get("type") == "integer":
+        yield path
+    for key, sub in schema.get("properties", {}).items():
+        yield from integer_paths(sub, (*path, key))
+    if "items" in schema:
+        yield from integer_paths(schema["items"], (*path, 0))
+
+
+def with_value(doc, path, value):
+    """A copy of doc with value at path, making the sections and arrays on the way."""
+    doc = copy.deepcopy(doc)
+    holder = doc
+    for key, nxt in zip(path, path[1:]):
+        if isinstance(holder, dict) and key not in holder:
+            holder[key] = [] if isinstance(nxt, int) else {}
+        holder = holder[key]
+        if isinstance(holder, list) and not holder:
+            holder.append(None)
+    holder[path[-1]] = value
+    return doc
+
+
+INTEGER_FIELDS = [("config", p) for p in integer_paths(CONFIG_SCHEMA)] + [
+    ("calibration", p) for p in integer_paths(CALIBRATION_SCHEMA)
+]
+
+
+@pytest.mark.parametrize(
+    "kind, path", INTEGER_FIELDS, ids=[f"{k}-{'/'.join(map(str, p))}" for k, p in INTEGER_FIELDS]
+)
+def test_integral_float_is_not_an_integer(tmp_path, kind, path):
+    base = {"model": GMM_MODEL} if kind == "config" else calibration_doc()
+    assert loaded_outcome(tmp_path, kind, with_value(base, path, 3)) is None
+    got = loaded_outcome(tmp_path, kind, with_value(base, path, 3.0))
+    assert got == ("/".join(map(str, path)), "3.0 is not of type 'integer'")
 
 
 NUMBER = st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3))

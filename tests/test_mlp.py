@@ -8,6 +8,7 @@ from eigenscore.errors import (
     BadRangeError,
     CheckpointFormatError,
     DimMismatchError,
+    DivergedLossError,
     EmptyDatasetError,
     NonFiniteParametersError,
 )
@@ -122,6 +123,15 @@ def test_train_validates():
         net.train(np.empty((0, 1)), sched, TrainConfig(steps=5))
     with pytest.raises(DimMismatchError):
         net.train(np.zeros((4, 3)), sched, TrainConfig(steps=5))
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_train_raises_on_diverged_loss():
+    sched = build_schedule("geometric", 0.1, 3.0, 12)
+    data = np.random.default_rng(0).standard_normal((16, 2))
+    net = MlpDenoiser(2, hidden=(4,), seed=0)
+    with pytest.raises(DivergedLossError, match="at step 2"):
+        net.train(data, sched, TrainConfig(steps=5, batch_size=4, lr=1e200))
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
