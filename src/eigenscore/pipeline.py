@@ -168,6 +168,7 @@ def config_hash(model_desc, schedule: NoiseSchedule, config: FeatureConfig, metr
         "top_k": config.top_k,
         "n_reps": config.n_reps,
         "spectral": {
+            "estimator": "rayleigh-ritz",
             "n_iters": config.spectral.n_iters,
             "fd_rel": config.spectral.fd_rel,
             "early_stop_tol": config.spectral.early_stop_tol,

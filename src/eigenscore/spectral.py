@@ -44,10 +44,11 @@ class SpectralConfig:
 
     top_k        number of leading eigenpairs (clamped to the data dim);
                  inside a FeatureConfig it is FeatureConfig.top_k
-    n_iters      maximum subspace iterations
+    n_iters      maximum re-orthonormalizations, so at most n_iters + 1
+                 block Jacobian products per row
     fd_rel       finite-difference step as a fraction of sigma
-    early_stop_tol  stop when every eigenvalue estimate changes by less
-                 than this relative amount between iterations; 0 disables
+    early_stop_tol  stop when every Ritz value changes by less than this
+                 relative amount between sweeps; 0 disables
     """
 
     top_k: int = 3
@@ -61,11 +62,12 @@ class SpectralResult:
     """Eigenvalue estimates of sigma^2 * (denoiser Jacobian) at one point.
 
     `eigenvalues` are descending and clamped to be non-negative;
-    `raw_eigenvalues` keep the signed estimates in the same order.
-    `residual` is the subspace residual max_j ||sigma^2 J v_j - lambda_j v_j||
-    over max_j |lambda_j| on the final columns (0 for the dense oracles),
-    `n_iters` the sweeps performed, `n_evals` the denoiser evaluations and
-    `asymmetry` (dense oracle only) max |J - J^T|.
+    `raw_eigenvalues` keep the signed estimates in the same order, and
+    `eigenvectors` (d, k) the matching Ritz vectors v_j.  `residual` is
+    max_j ||sigma^2 J v_j - lambda_j v_j|| over max_j |lambda_j| (0 for the
+    dense oracles), `n_iters` the re-orthonormalizations performed,
+    `n_evals` the denoiser evaluations, 2k(n_iters + 1) for the subspace
+    iteration, and `asymmetry` (dense oracle only) max |J - J^T|.
     """
 
     eigenvalues: np.ndarray
@@ -149,7 +151,7 @@ def _jvp_stack(fn, x_ts: np.ndarray, cols: np.ndarray, c: np.ndarray, runs: list
     transposed view of a C-ordered (n, k, d) array, whatever the denoiser's
     output layout: a row's d-axis then stays contiguous whatever n is, and
     numpy sums a contiguous axis pairwise and a strided one in sequence, so
-    the norms taken later round alike only if every row keeps one layout.
+    later products and norms round alike only if every row keeps one layout.
     """
     n, d, k = cols.shape
     c = c[:, None, None]
@@ -174,24 +176,29 @@ def subspace_iteration_batch(
     """Estimate the top eigenpairs of sigma^2 * dD/dx at every row of x_ts.
 
     sigma is one noise level for every row or an (n,) array with one per
-    row.  Row r starts from random N(0, sigma_r^2 I) directions drawn from
-    rngs[r].  Each sweep applies the finite-difference Jacobian product
-    (step fd_rel * sigma_r) to every column and re-orthonormalizes, until no
-    eigenvalue estimate changes by more than early_stop_tol (relative) or
-    n_iters sweeps are done.  Eigenvalues are then re-evaluated on the final
-    orthonormal columns: magnitude sigma_r^2 * ||J v_k|| per the product
-    norm, sign from the Rayleigh quotient v_k^T J v_k (analytic posteriors
-    are PSD, learned models occasionally are not; negatives are clamped in
-    `eigenvalues` and kept in `raw_eigenvalues`).  A row costs
-    2 * k * (sweeps + 1) denoiser evaluations.
+    row.  This is subspace iteration with Rayleigh-Ritz projection (Saad,
+    Numerical Methods for Large Eigenvalue Problems, ch. 5).  Row r starts
+    from the orthonormalized k random directions drawn from rngs[r].  Each
+    sweep takes P = J Q, the finite-difference Jacobian product (step
+    fd_rel * sigma_r) of the basis Q, and the Ritz values theta of
+    H = sym(Q^T P); the next basis is qr(P).  A row stops once no
+    sigma_r^2 theta changes by more than early_stop_tol (relative) from the
+    sweep before, or after n_iters re-orthonormalizations.  Its last sweep
+    then rotates to the Ritz vectors y = Q u (u from eigh(H)), whose
+    products J y = P u it already holds: eigenvalue magnitude
+    sigma_r^2 * ||J y||, sign from y^T J y (analytic posteriors are PSD,
+    learned models occasionally are not), sorted by signed value; negatives
+    are clamped in `eigenvalues` and kept in `raw_eigenvalues`.  A row costs
+    2 * k * (n_iters + 1) denoiser evaluations: 4k when k is the data
+    dimension, as the first sweep's Ritz values are then already exact.
 
-    The active rows' directions are held as one (rows, d, k) stack, and each
+    The active rows' bases are held as one (rows, d, k) stack, and each
     sweep is a fixed set of whole-stack operations: one denoiser call per
     run of consecutive rows with equal sigma (so rows sharing a noise level
     are best passed next to each other), on that run's active rows; one
-    stacked QR; and array-wide norms, sorts and early-stop tests.  Rows that
-    stop leave the stack; all survivors share one final eigenvalue pass,
-    which alone computes the subspace residual.
+    stacked QR; the early-stop test, with a stacked k x k eigvalsh for the
+    rows whose trace of H moved little enough that they might stop.  Rows
+    that stop take one stacked eigh and leave the stack.
 
     Contract: a row's result is bit-identical whatever other rows share its
     batch, at whatever noise levels, in whatever order, and whatever thread
@@ -231,7 +238,7 @@ def subspace_iteration_batch(
         _check_fd_step(config.fd_rel * s, s)
     c = config.fd_rel * sigmas
     s2 = sigmas * sigmas
-    check_stop = config.early_stop_tol > 0.0
+    tol = config.early_stop_tol
     # a run is a range of rows at one noise level
     starts = [r for r in range(n_rows) if r == 0 or levels[r] != levels[r - 1]]
 
@@ -240,85 +247,73 @@ def subspace_iteration_batch(
         bounds = np.searchsorted(rows, starts).tolist() + [rows.size]
         return [(a, b, levels[r]) for a, b, r in zip(bounds, bounds[1:], starts) if a < b]
 
-    # row r's column j is drawn from rngs[r].child(j)
+    # row r's column j is drawn from rngs[r].child(j); the active rows are
+    # their original indices, points and the matrices whose QR is the next basis
     draws = gaussian_vec([rng.child(j) for rng in rngs for j in range(k)], d, np.repeat(sigmas, k))
-    final_cols = np.ascontiguousarray(draws.reshape(n_rows, k, d).transpose(0, 2, 1))
-    performed = np.zeros(n_rows, dtype=int)
+    mat = np.ascontiguousarray(draws.reshape(n_rows, k, d).transpose(0, 2, 1))
     outcome: list = [None] * n_rows
-
-    # the active rows: their original indices, points and current directions
-    act = np.arange(n_rows)
-    xa = x_ts
-    cols = final_cols
-    prev = None
-    for sweep in range(config.n_iters):
-        products = _jvp_stack(fn, xa, cols, c[act], runs(act))
-        lam = s2[act][:, None] * _col_norms(products) / _col_norms(cols)
-        top = np.maximum(np.maximum.reduce(lam, axis=1), 1e-300)
+    act, xa, prev = np.arange(n_rows), x_ts, None
+    for sweep in range(config.n_iters + 1):
         try:
-            cols, _ = qr_orthonormalize(products)
+            cols, _ = qr_orthonormalize(mat)
         except RankDeficientError as e:
             # rare: the collapsed rows leave, the rest are factored again
             for i in e.indices:
                 outcome[act[i]] = RankDeficientError(
-                    f"row {act[i]}, sweep {sweep + 1}: {e}", indices=(act[i],)
+                    f"row {act[i]}, sweep {sweep}: {e}", indices=(act[i],)
                 )
             ok = np.ones(act.size, dtype=bool)
             ok[list(e.indices)] = False
-            act, xa, lam, top, products = act[ok], xa[ok], lam[ok], top[ok], products[ok]
+            act, xa, mat = act[ok], xa[ok], mat[ok]
             prev = None if prev is None else prev[ok]
             if act.size == 0:
                 break
-            cols, _ = qr_orthonormalize(products)
-
-        est = np.sort(lam, axis=1)[:, ::-1]
-        if prev is not None and check_stop:
-            done = np.logical_and.reduce(
-                np.abs(est - prev)
-                <= config.early_stop_tol * np.maximum(prev, 1e-12 * top[:, None]),
-                axis=1,
-            )
-        else:
-            done = np.zeros(act.size, dtype=bool)
-        if sweep + 1 == config.n_iters:
-            done[:] = True
+            cols, _ = qr_orthonormalize(mat)
+        products = _jvp_stack(fn, xa, cols, c[act], runs(act))
+        h = np.matmul(np.swapaxes(cols, 1, 2), products)
+        h = 0.5 * (h + np.swapaxes(h, 1, 2))
+        done = np.full(act.size, sweep == config.n_iters)
+        if prev is not None and tol > 0.0 and sweep < config.n_iters:
+            # Ritz values sum to the trace, and the test lets it move by at most
+            # tol (sqrt(k) |H_prev|_F + 1e-12 k |H|_F): rows beyond twice that, plus
+            # eigvalsh's roundoff, cannot stop and need no eigvalsh
+            f, fp = (np.sqrt(np.add.reduce(a * a, axis=(1, 2))) for a in (h, prev))
+            slack = 2.0 * tol * (np.sqrt(k) * fp + 1e-12 * k * f) + 1e-10 * k * (f + fp)
+            cand = np.flatnonzero(np.abs(np.trace(h - prev, axis1=1, axis2=2)) <= slack)
+            if cand.size:
+                est, old = (s2[act[cand]][:, None] * np.linalg.eigvalsh(a[cand])[:, ::-1] for a in (h, prev))
+                top = np.maximum(np.maximum.reduce(np.abs(est), axis=1), 1e-300)
+                close = np.abs(est - old) <= tol * np.maximum(np.abs(old), 1e-12 * top[:, None])
+                done[cand] = np.logical_and.reduce(close, axis=1)
         if done.any():
-            final_cols[act[done]] = cols[done]
-            performed[act[done]] = sweep + 1
+            # stopped rows rotate to their Ritz vectors y = Q u, whose J y = P u
+            theta, u = np.linalg.eigh(h[done])
+            vecs = np.matmul(cols[done], u)
+            jv = np.matmul(products[done], u)
+            s2r = s2[act[done]][:, None]
+            mag = s2r * _col_norms(jv)
+            raw = np.where(theta < 0.0, -mag, mag)
+            top = np.maximum(np.maximum.reduce(mag, axis=1), 1e-300)
+            resid = np.maximum.reduce(_col_norms(s2r[:, None] * jv - raw[:, None, :] * vecs), axis=1) / top
+            order = np.argsort(raw, axis=1)[:, ::-1]
+            raw = np.take_along_axis(raw, order, axis=1)
+            vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+            for i, r in enumerate(act[done].tolist()):
+                outcome[r] = SpectralResult(
+                    eigenvalues=np.clip(raw[i], 0.0, None),
+                    raw_eigenvalues=raw[i],
+                    eigenvectors=vecs[i],
+                    sigma=levels[r],
+                    residual=float(resid[i]),
+                    n_iters=sweep,
+                    n_evals=2 * k * (sweep + 1),
+                )
             keep = ~done
-            act, xa, cols, est = act[keep], xa[keep], cols[keep], est[keep]
+            act, xa, products, h = act[keep], xa[keep], products[keep], h[keep]
             if act.size == 0:
                 break
-        prev = est
-
-    # one shared final pass over every surviving row
-    fin = np.array([r for r in range(n_rows) if outcome[r] is None], dtype=int)
-    if fin.size == 0:
-        return outcome
-    cols = final_cols[fin]
-    products = _jvp_stack(fn, x_ts[fin], cols, c[fin], runs(fin))
-    s2 = s2[fin][:, None]
-    lam_mag = s2 * _col_norms(products)
-    sign = np.where(np.einsum("rij,rij->rj", cols, products) < 0.0, -1.0, 1.0)
-    raw = sign * lam_mag
-    top = np.maximum(np.maximum.reduce(lam_mag, axis=1), 1e-300)
-    resid = _col_norms(s2[:, None] * products - raw[:, None, :] * cols)
-    final_resid = np.maximum.reduce(resid, axis=1) / top
-    order = np.argsort(raw, axis=1)[:, ::-1]
-    raw = np.take_along_axis(raw, order, axis=1)
-    vecs = np.take_along_axis(cols, order[:, None, :], axis=2)
-    vals = np.clip(raw, 0.0, None)
-    for i, r in enumerate(fin):
-        n_it = int(performed[r])
-        outcome[r] = SpectralResult(
-            eigenvalues=vals[i],
-            raw_eigenvalues=raw[i],
-            eigenvectors=vecs[i],
-            sigma=levels[r],
-            residual=float(final_resid[i]),
-            n_iters=n_it,
-            n_evals=2 * k * (n_it + 1),
-        )
+        mat = products
+        prev = h
     return outcome
 
 

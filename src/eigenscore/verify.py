@@ -163,6 +163,7 @@ def score_gap(p: GaussianMixture, q: GaussianMixture, sigma: float) -> float:
 class KlQuadResult:
     value: float
     tail: float
+    head: float
     sigmas: np.ndarray
     integrand: np.ndarray
 
@@ -177,7 +178,9 @@ def kl_quadrature(p: GaussianMixture, q: GaussianMixture, route: str = "denoisin
     by roundoff.  Trapezoid on a 400-point log-spaced grid over sigma in
     [1e-3, 1e3] converges fast here: in log-sigma the integrand decays like
     exp(-2|u|) on both sides.  The reported tail is the
-    ||delta||^2 / (2 sigma_max^2) estimate of the truncated upper end.
+    ||delta||^2 / (2 sigma_max^2) estimate of the truncated upper end, and
+    head the linear-decay estimate f(sigma_min) sigma_min / 2 of the
+    truncated lower end; value includes both.
     """
     hi = 1e3
     sigmas = np.exp(np.linspace(np.log(1e-3), np.log(hi), 400))
@@ -191,7 +194,8 @@ def kl_quadrature(p: GaussianMixture, q: GaussianMixture, route: str = "denoisin
     value = float(np.trapezoid(f * sigmas, np.log(sigmas)))
     delta = p.means[0] - q.means[0]
     tail = float(delta @ delta / (2.0 * hi * hi))
-    return KlQuadResult(value=value + tail, tail=tail, sigmas=sigmas, integrand=f)
+    head = float(0.5 * f[0] * sigmas[0])
+    return KlQuadResult(value=value + tail + head, tail=tail, head=head, sigmas=sigmas, integrand=f)
 
 
 def mc_denoising_gap(p, q, sigma: float, n: int, rng: RngStream):

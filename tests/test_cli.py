@@ -346,6 +346,16 @@ def test_config_hash_covers_mixture_values_not_spelling(cfg_path, tmp_path, capl
     assert _hash_warned(changed, calib, data, tmp_path, caplog)
 
 
+def test_calibration_of_the_column_norm_estimator_warns(cfg_path, tmp_path, caplog):
+    # a calibration fitted on BASE_CFG before eigenvalues came from Ritz
+    # vectors carries this hash; its features came from another estimator
+    data, calib, _ = run_flow(cfg_path, tmp_path)
+    doc = json.loads((tmp_path / "calib.json").read_text())
+    doc["config_hash"] = "bc71e3a038ec9a8d"
+    (tmp_path / "calib.json").write_text(json.dumps(doc))
+    assert _hash_warned(cfg_path, calib, data, tmp_path, caplog)
+
+
 def test_retrained_checkpoint_warns(cfg_path, tmp_path, caplog):
     # a net retrained into the same path must not silently reuse the old
     # calibration

@@ -11,9 +11,9 @@ from eigenscore.errors import (
     RankDeficientError,
 )
 from eigenscore.gmm import GaussianMixture
-from eigenscore.linalg import qr_orthonormalize
+from eigenscore.linalg import qr_orthonormalize, sym_eig
 from eigenscore.mlp import MlpDenoiser
-from eigenscore.rng import RngStream
+from eigenscore.rng import RngStream, gaussian_vec
 from eigenscore.spectral import (
     SpectralConfig,
     _col_norms,
@@ -418,23 +418,23 @@ def pinned_model(kind, d):
     "kind, d, top_k, n_iters, want",
     [
         ("mixture", 2, 1, 10, [0.5491699593812487]),
-        ("mixture", 2, 2, 10, [0.5491699605247654, 0.20234800989205518]),
+        ("mixture", 2, 2, 10, [0.5491699605637844, 0.2023480097855678]),
         ("mixture", 24, 1, 15, [2.489198513678925]),
         (
             "mixture", 24, 5, 15,
-            [2.4891985136789567, 0.39265868765624246, 0.3818906581576602,
-             0.3745917413459783, 0.3688125767866209],
+            [2.489198513678906, 0.4076579005119745, 0.3886467248296818,
+             0.3720758445858023, 0.34740657784364876],
         ),
         (
             "matmul", 33, 4, 15,
-            [3.5501354898131505, 3.4341711937690005, 3.357220951514195, 3.350203572703329],
+            [3.5932978584872086, 3.3060889596197307, 3.303014981148973, -3.4842314225041706],
         ),
-        ("mlp", 32, 3, 8, [0.3130562417492995, 0.31016923611005853, -0.2615053481131245]),
+        ("mlp", 32, 3, 8, [0.3163161933370631, 0.26420217272064833, -0.3045250251903769]),
     ],
 )
 def test_subspace_pinned_values(kind, d, top_k, n_iters, want):
-    # values recorded from the estimator on these fixed inputs; a change to
-    # the sweep's arithmetic shows here
+    # values recorded from the Rayleigh-Ritz estimator on these fixed inputs;
+    # a change to the sweep's arithmetic shows here
     x_t = np.random.default_rng(100 + d).standard_normal(d)
     cfg = SpectralConfig(top_k=top_k, n_iters=n_iters, early_stop_tol=0.0)
     res = subspace_iteration(
@@ -444,6 +444,84 @@ def test_subspace_pinned_values(kind, d, top_k, n_iters, want):
     assert res.n_evals == 2 * top_k * (n_iters + 1)
     np.testing.assert_allclose(res.raw_eigenvalues, want, rtol=1e-12)
     assert np.array_equal(res.eigenvalues, np.clip(res.raw_eigenvalues, 0.0, None))
+
+
+def rotated(eigvals, seed):
+    """A symmetric matrix with these eigenvalues and random eigenvectors."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eigvals),) * 2))
+    return q @ np.diag(eigvals) @ q.T
+
+
+@pytest.mark.parametrize(
+    "model, top_k",
+    [
+        (GaussianMixture([0.6, 0.37, 0.03], np.zeros((3, 2)), [0.09 * np.eye(2), np.eye(2), 16 * np.eye(2)]), 3),
+        (random_mixture(3, 3, seed=3), 3),
+        (random_mixture(3, 3, seed=3), 5),
+        (GaussianMixture.single(np.zeros(2), rotated([1.0, 0.99], seed=4)), 2),
+    ],
+    ids=["paper2d", "mixture3-k3", "mixture3-k5", "gaussian-ratio-0.99"],
+)
+def test_full_basis_stops_after_one_reorthonormalization(model, top_k):
+    # with k >= d the basis spans the whole space from the first sweep, so
+    # the Ritz values are exact there whatever the eigenvalue ratio, and the
+    # second sweep only confirms them: 2 block products, 4k evaluations
+    d = model.dim
+    k = min(top_k, d)
+    sig = np.repeat([0.05, 0.4, 1.0, 3.0], 4)
+    x_ts = np.random.default_rng(d).standard_normal((sig.size, d))
+    rngs = [RngStream(13, (r,)) for r in range(sig.size)]
+    cfg = SpectralConfig(top_k=top_k)
+    for x_t, s, res in zip(x_ts, sig, subspace_iteration_batch(model, x_ts, sig, cfg, rngs)):
+        assert (res.n_iters, res.n_evals) == (1, 4 * k)
+        want = analytic_spectrum(model, x_t, s, top_k=top_k).eigenvalues.sum()
+        assert res.eigenvalues.sum() == pytest.approx(want, rel=1e-6)
+
+
+def test_indefinite_jacobian_sorted_by_signed_value():
+    # a non-PSD denoiser: at k = d the Ritz values are its whole signed
+    # spectrum, reported descending by signed value and clamped at zero
+    a = rotated([1.0, -0.95, 0.3, -0.4], seed=9)
+    sigma = 0.8
+    cfg = SpectralConfig(top_k=4)
+    res = subspace_iteration(lambda x, s: x @ a.T, np.ones(4), sigma, cfg, rng=RngStream(2))
+    want, _ = sym_eig(sigma * sigma * a)
+    assert np.all(np.diff(res.raw_eigenvalues) < 0.0)
+    np.testing.assert_allclose(res.raw_eigenvalues, want, rtol=1e-6)
+    assert np.array_equal(res.eigenvalues, np.clip(res.raw_eigenvalues, 0.0, None))
+
+
+def ritz_stop_sweep(fn, x_t, sigma, cfg, rng):
+    """The sweep at which a row stops when eigvalsh runs on every sweep: the
+    early-stop rule of `subspace_iteration_batch` restated for one row."""
+    d, k = x_t.size, min(cfg.top_k, x_t.size)
+    mat = np.ascontiguousarray(gaussian_vec([rng.child(j) for j in range(k)], d, np.full(k, sigma)).T)[None]
+    prev = None
+    for sweep in range(cfg.n_iters):
+        q, _ = qr_orthonormalize(mat)
+        mat = _jvp_stack(fn, x_t[None], q, np.array([cfg.fd_rel * sigma]), [(0, 1, sigma)])
+        h = np.matmul(np.swapaxes(q, 1, 2), mat)
+        est = sigma * sigma * np.linalg.eigvalsh(0.5 * (h + np.swapaxes(h, 1, 2)))[:, ::-1]
+        if prev is not None:
+            top = max(np.abs(est).max(), 1e-300)
+            if np.all(np.abs(est - prev) <= cfg.early_stop_tol * np.maximum(np.abs(prev), 1e-12 * top)):
+                return sweep
+        prev = est
+    return cfg.n_iters
+
+
+@pytest.mark.parametrize("model, tol", [("mixture", 1e-2), ("mixture", 1e-3), ("mlp", 1e-2), ("mlp", 1e-4)])
+def test_early_stop_matches_eigvalsh_on_every_sweep(model, tol):
+    # the engine skips eigvalsh for rows whose trace of H moved too far to
+    # stop; every row must still stop exactly where the plain rule stops
+    net = random_mixture(12, 3, seed=5) if model == "mixture" else MlpDenoiser(12, hidden=(16,), seed=5)
+    x_ts = np.random.default_rng(5).standard_normal((24, 12))
+    rngs = [RngStream(8, (r,)) for r in range(24)]
+    cfg = SpectralConfig(top_k=3, n_iters=15, early_stop_tol=tol)
+    got = [res.n_iters for res in subspace_iteration_batch(net, x_ts, 0.6, cfg, rngs)]
+    want = [ritz_stop_sweep(net.denoise, x, 0.6, cfg, rng) for x, rng in zip(x_ts, rngs)]
+    assert got == want
+    assert 0 < sum(n < cfg.n_iters for n in got) < len(got)
 
 
 def test_exact_spectrum_matches_analytic():

@@ -105,7 +105,7 @@ def test_kl_quadrature_canonical_pair():
     res = kl_quadrature(p, q)
     assert res.value == pytest.approx(0.5, abs=2e-3)
     assert res.value == pytest.approx(
-        float(np.trapezoid(res.integrand * res.sigmas, np.log(res.sigmas))) + res.tail,
+        float(np.trapezoid(res.integrand * res.sigmas, np.log(res.sigmas))) + res.tail + res.head,
         rel=1e-12,
     )
     assert res.sigmas.shape == (400,)
@@ -142,6 +142,14 @@ def test_spectrum_deviation_single_gaussian_exact():
 
 def test_group_kl_passes():
     assert all(c.passed for c in verify_kl(seed=0))
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_group_kl_passes_across_seeds(seed):
+    # seed 0 is test_group_kl_passes; seed 5 draws a d=1 pair whose integrand is still large at the grid's
+    # lowest sigma; without the head estimate its quadrature reads 2.25e-3 low
+    failed = [(c.name, c.value) for c in verify_kl(seed=seed) if not c.passed]
+    assert failed == []
 
 
 def test_group_posterior_identities_passes():
