@@ -199,12 +199,12 @@ def eigen_feature(
     """Eigenvalue-sum feature vector for one sample.
 
     Per (timestep, repetition) the noise draw and the spectral starting
-    directions come from streams keyed by (sample_id, t, repetition), so
-    the result does not depend on evaluation order.  All (timestep,
-    repetition) rows run as one `subspace_iteration_batch` call.  A
-    repetition whose orthonormalization collapses is retried once on a
-    fresh stream and otherwise imputed with the median of the successful
-    repetitions.
+    directions (drawn only when top_k < d) come from streams keyed by
+    (sample_id, t, repetition), so the result does not depend on
+    evaluation order.  All (timestep, repetition) rows run as one
+    `subspace_iteration_batch` call.  A repetition whose orthonormalization
+    collapses (top_k < d only) is retried once on a fresh stream and
+    otherwise imputed with the median of the successful repetitions.
     The feature also carries each timestep's leading eigenvector
     (`EigenFeature.components`).
     """
@@ -221,36 +221,41 @@ def eigen_feature(
     all_results = subspace_iteration_batch(
         denoiser, x_ts, np.repeat(sigmas, n_reps), config.spectral, rngs
     )
-    raw = np.empty((len(timesteps), n_reps))
+    failed: list[list[int]] = [[] for _ in timesteps]
+    for i, out in enumerate(all_results):
+        if isinstance(out, RankDeficientError):
+            ti, rep = divmod(i, n_reps)
+            t, sigma = timesteps[ti], sigmas[ti]
+            (x_t,) = _noisy_points(x, (t,), (sigma,), (rep,), seed, sample_id, LANE_NOISE_RETRY)
+            rng = RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL_RETRY))
+            try:
+                all_results[i] = subspace_iteration(denoiser, x_t, sigma, config.spectral, rng)
+            except RankDeficientError:
+                failed[ti].append(rep)
+                continue
+            log.warning(
+                "sample %d t=%d rep %d: rank-deficient subspace, retry succeeded",
+                sample_id, t, rep,
+            )
+    # one reduction over every repetition's eigenvalues; a failed one sums
+    # zeros here and is imputed below
+    lost = np.zeros(min(config.top_k, x.shape[0]))
+    vals = np.array([lost if isinstance(r, RankDeficientError) else r.eigenvalues for r in all_results])
+    raw = np.add.reduce(vals, axis=1).reshape(len(timesteps), n_reps)
     components = np.empty((len(timesteps), x.shape[0]))
-    for ti, (t, sigma) in enumerate(zip(timesteps, sigmas)):
-        results = all_results[ti * n_reps : (ti + 1) * n_reps]
-        failed: list[int] = []
-        for rep, out in enumerate(results):
-            if isinstance(out, RankDeficientError):
-                (x_t,) = _noisy_points(x, (t,), (sigma,), (rep,), seed, sample_id, LANE_NOISE_RETRY)
-                rng = RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL_RETRY))
-                try:
-                    out = results[rep] = subspace_iteration(denoiser, x_t, sigma, config.spectral, rng)
-                except RankDeficientError:
-                    failed.append(rep)
-                    continue
-                log.warning(
-                    "sample %d t=%d rep %d: rank-deficient subspace, retry succeeded",
-                    sample_id, t, rep,
-                )
-            raw[ti, rep] = float(np.sum(out.eigenvalues))
-        if failed:
-            ok = np.delete(raw[ti], failed)
+    for ti, t in enumerate(timesteps):
+        if failed[ti]:
+            ok = np.delete(raw[ti], failed[ti])
             if ok.size == 0:
                 raise RankDeficientError(
                     f"all {n_reps} repetitions failed at t={t}"
                 )
-            raw[ti, failed] = np.median(ok)
+            raw[ti, failed[ti]] = np.median(ok)
             log.warning(
                 "sample %d t=%d: %d repetition(s) imputed with the median",
-                sample_id, t, len(failed),
+                sample_id, t, len(failed[ti]),
             )
+        results = all_results[ti * n_reps : (ti + 1) * n_reps]
         first = next(r for r in results if not isinstance(r, RankDeficientError))
         components[ti] = first.eigenvectors[:, 0]
     feature = _aggregate(raw, timesteps, config.aggregation, n_reps, sample_id)

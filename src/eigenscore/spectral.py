@@ -45,10 +45,11 @@ class SpectralConfig:
     top_k        number of leading eigenpairs (clamped to the data dim);
                  inside a FeatureConfig it is FeatureConfig.top_k
     n_iters      maximum re-orthonormalizations, so at most n_iters + 1
-                 block Jacobian products per row
+                 block Jacobian products per row; one when top_k >= d
     fd_rel       finite-difference step as a fraction of sigma
     early_stop_tol  stop when every Ritz value changes by less than this
-                 relative amount between sweeps; 0 disables
+                 relative amount between sweeps; 0 disables; unused when
+                 top_k >= d
     """
 
     top_k: int = 3
@@ -67,7 +68,8 @@ class SpectralResult:
     max_j ||sigma^2 J v_j - lambda_j v_j|| over max_j |lambda_j| (0 for the
     dense oracles), `n_iters` the re-orthonormalizations performed,
     `n_evals` the denoiser evaluations, 2k(n_iters + 1) for the subspace
-    iteration, and `asymmetry` (dense oracle only) max |J - J^T|.
+    iteration (2d with n_iters 0 when k is the data dimension d), and
+    `asymmetry` (dense oracle only) max |J - J^T|.
     """
 
     eigenvalues: np.ndarray
@@ -178,7 +180,8 @@ def subspace_iteration_batch(
     sigma is one noise level for every row or an (n,) array with one per
     row.  This is subspace iteration with Rayleigh-Ritz projection (Saad,
     Numerical Methods for Large Eigenvalue Problems, ch. 5).  Row r starts
-    from the orthonormalized k random directions drawn from rngs[r].  Each
+    from the orthonormalized k random directions drawn from rngs[r] when
+    k = min(top_k, d) < d, and from the identity when k = d.  Each
     sweep takes P = J Q, the finite-difference Jacobian product (step
     fd_rel * sigma_r) of the basis Q, and the Ritz values theta of
     H = sym(Q^T P); the next basis is qr(P).  A row stops once no
@@ -189,16 +192,20 @@ def subspace_iteration_batch(
     sigma_r^2 * ||J y||, sign from y^T J y (analytic posteriors are PSD,
     learned models occasionally are not), sorted by signed value; negatives
     are clamped in `eigenvalues` and kept in `raw_eigenvalues`.  A row costs
-    2 * k * (n_iters + 1) denoiser evaluations: 4k when k is the data
-    dimension, as the first sweep's Ritz values are then already exact.
+    2 * k * (n_iters + 1) denoiser evaluations.  When k is the data
+    dimension the identity spans the whole space, so Rayleigh-Ritz is exact
+    after one product: every row stops there with n_iters 0 and 2d
+    evaluations on the points x +- c e_j, and draws nothing from rngs, makes
+    no QR and takes no early-stop test.
 
     The active rows' bases are held as one (rows, d, k) stack, and each
     sweep is a fixed set of whole-stack operations: one denoiser call per
     run of consecutive rows with equal sigma (so rows sharing a noise level
     are best passed next to each other), on that run's active rows; one
-    stacked QR; the early-stop test, with a stacked k x k eigvalsh for the
-    rows whose trace of H moved little enough that they might stop.  Rows
-    that stop take one stacked eigh and leave the stack.
+    stacked QR (none when k = d); the early-stop test, with a stacked
+    k x k eigvalsh for the rows whose trace of H moved little enough that
+    they might stop.  Rows that stop take one stacked eigh and leave the
+    stack.
 
     Contract: a row's result is bit-identical whatever other rows share its
     batch, at whatever noise levels, in whatever order, and whatever thread
@@ -215,8 +222,8 @@ def subspace_iteration_batch(
     threads or on rows at other noise levels, which never share its call.
 
     Returns a list aligned with rngs whose entries are SpectralResult, or
-    the RankDeficientError a row's orthonormalization raised so the caller
-    can retry that row alone.
+    the RankDeficientError a row's orthonormalization raised (k < d only)
+    so the caller can retry that row alone.
     """
     x_ts = np.atleast_2d(np.asarray(x_ts, dtype=float))
     n_rows, d = x_ts.shape
@@ -247,32 +254,40 @@ def subspace_iteration_batch(
         bounds = np.searchsorted(rows, starts).tolist() + [rows.size]
         return [(a, b, levels[r]) for a, b, r in zip(bounds, bounds[1:], starts) if a < b]
 
-    # row r's column j is drawn from rngs[r].child(j); the active rows are
-    # their original indices, points and the matrices whose QR is the next basis
-    draws = gaussian_vec([rng.child(j) for rng in rngs for j in range(k)], d, np.repeat(sigmas, k))
-    mat = np.ascontiguousarray(draws.reshape(n_rows, k, d).transpose(0, 2, 1))
+    full = k == d
+    if full:
+        # the identity spans the whole space, so the first sweep's Ritz values
+        # are exact and every row stops there; rngs go unused
+        cols = np.broadcast_to(np.eye(d), (n_rows, d, d))
+    else:
+        # row r's column j is drawn from rngs[r].child(j)
+        draws = gaussian_vec([rng.child(j) for rng in rngs for j in range(k)], d, np.repeat(sigmas, k))
+        mat = np.ascontiguousarray(draws.reshape(n_rows, k, d).transpose(0, 2, 1))
+    # the active rows are their original indices, points and the matrices
+    # whose QR is the next basis
     outcome: list = [None] * n_rows
     act, xa, prev = np.arange(n_rows), x_ts, None
     for sweep in range(config.n_iters + 1):
-        try:
-            cols, _ = qr_orthonormalize(mat)
-        except RankDeficientError as e:
-            # rare: the collapsed rows leave, the rest are factored again
-            for i in e.indices:
-                outcome[act[i]] = RankDeficientError(
-                    f"row {act[i]}, sweep {sweep}: {e}", indices=(act[i],)
-                )
-            ok = np.ones(act.size, dtype=bool)
-            ok[list(e.indices)] = False
-            act, xa, mat = act[ok], xa[ok], mat[ok]
-            prev = None if prev is None else prev[ok]
-            if act.size == 0:
-                break
-            cols, _ = qr_orthonormalize(mat)
+        if not full:
+            try:
+                cols, _ = qr_orthonormalize(mat)
+            except RankDeficientError as e:
+                # rare: the collapsed rows leave, the rest are factored again
+                for i in e.indices:
+                    outcome[act[i]] = RankDeficientError(
+                        f"row {act[i]}, sweep {sweep}: {e}", indices=(act[i],)
+                    )
+                ok = np.ones(act.size, dtype=bool)
+                ok[list(e.indices)] = False
+                act, xa, mat = act[ok], xa[ok], mat[ok]
+                prev = None if prev is None else prev[ok]
+                if act.size == 0:
+                    break
+                cols, _ = qr_orthonormalize(mat)
         products = _jvp_stack(fn, xa, cols, c[act], runs(act))
         h = np.matmul(np.swapaxes(cols, 1, 2), products)
         h = 0.5 * (h + np.swapaxes(h, 1, 2))
-        done = np.full(act.size, sweep == config.n_iters)
+        done = np.full(act.size, full or sweep == config.n_iters)
         if prev is not None and tol > 0.0 and sweep < config.n_iters:
             # Ritz values sum to the trace, and the test lets it move by at most
             # tol (sqrt(k) |H_prev|_F + 1e-12 k |H|_F): rows beyond twice that, plus
@@ -297,10 +312,11 @@ def subspace_iteration_batch(
             resid = np.maximum.reduce(_col_norms(s2r[:, None] * jv - raw[:, None, :] * vecs), axis=1) / top
             order = np.argsort(raw, axis=1)[:, ::-1]
             raw = np.take_along_axis(raw, order, axis=1)
+            vals = np.clip(raw, 0.0, None)
             vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
             for i, r in enumerate(act[done].tolist()):
                 outcome[r] = SpectralResult(
-                    eigenvalues=np.clip(raw[i], 0.0, None),
+                    eigenvalues=vals[i],
                     raw_eigenvalues=raw[i],
                     eigenvectors=vecs[i],
                     sigma=levels[r],

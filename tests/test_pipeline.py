@@ -168,7 +168,7 @@ def test_retry_recovers_from_local_rank_deficiency(caplog):
     # first-attempt noisy point of one repetition; the retry lane lands
     # elsewhere and succeeds
     model, sched = small_model(), small_schedule()
-    cfg = FeatureConfig(timesteps=(5,), top_k=2, n_reps=3, aggregation="all")
+    cfg = FeatureConfig(timesteps=(5,), top_k=1, n_reps=3, aggregation="all")
     seed, sid, t, rep = 11, 0, 5, 1
     sigma = sigma_at(sched, t)
     x = np.array([0.4, -0.2])
@@ -188,12 +188,12 @@ def test_retry_recovers_from_local_rank_deficiency(caplog):
     assert any("retry succeeded" in r.message for r in caplog.records)
 
 
-def rep0_component(model, x, sched, t, seed, sid, lanes=(LANE_NOISE, LANE_SPECTRAL)):
+def rep0_component(model, x, sched, t, seed, sid, lanes=(LANE_NOISE, LANE_SPECTRAL), top_k=2):
     """The leading eigenvector of repetition 0, probed on its own."""
     sigma = sigma_at(sched, t)
     z = gaussian_vec(RngStream(seed, (sid, t, 0, lanes[0])), x.shape[0], sigma)
     res = subspace_iteration(
-        model, x + z, sigma, SpectralConfig(top_k=2), rng=RngStream(seed, (sid, t, 0, lanes[1]))
+        model, x + z, sigma, SpectralConfig(top_k=top_k), rng=RngStream(seed, (sid, t, 0, lanes[1]))
     )
     return res.eigenvectors[:, 0]
 
@@ -214,7 +214,7 @@ def test_components_come_from_rep0_retry():
     # repetition 0 collapses on its first attempt; its retry supplies the
     # component
     model, sched = small_model(), small_schedule()
-    cfg = FeatureConfig(timesteps=(5,), top_k=2, n_reps=3, aggregation="all")
+    cfg = FeatureConfig(timesteps=(5,), top_k=1, n_reps=3, aggregation="all")
     seed, sid, t = 11, 0, 5
     sigma = sigma_at(sched, t)
     x = np.array([0.4, -0.2])
@@ -228,9 +228,9 @@ def test_components_come_from_rep0_retry():
 
     feat = eigen_feature(Collapsing(), x, sched, cfg, seed=seed, sample_id=sid)
     retry = rep0_component(
-        Collapsing(), x, sched, t, seed, sid, lanes=(LANE_NOISE_RETRY, LANE_SPECTRAL_RETRY)
+        Collapsing(), x, sched, t, seed, sid, lanes=(LANE_NOISE_RETRY, LANE_SPECTRAL_RETRY), top_k=1
     )
-    assert not np.array_equal(retry, rep0_component(model, x, sched, t, seed, sid))
+    assert not np.array_equal(retry, rep0_component(model, x, sched, t, seed, sid, top_k=1))
     assert np.array_equal(feat.components[0], retry)
 
 
@@ -238,7 +238,7 @@ def test_all_failures_imputed_with_median(caplog):
     # collapse around both the first-attempt and the retry point of one
     # repetition; its value must equal the median of the others
     model, sched = small_model(), small_schedule()
-    cfg = FeatureConfig(timesteps=(5,), top_k=2, n_reps=3, aggregation="all")
+    cfg = FeatureConfig(timesteps=(5,), top_k=1, n_reps=3, aggregation="all")
     seed, sid, t, rep = 11, 0, 5, 1
     sigma = sigma_at(sched, t)
     x = np.array([0.4, -0.2])
@@ -267,7 +267,7 @@ def test_multi_timestep_retry_leaves_other_timesteps_alone(caplog):
     # attempt of repetitions 0 and 1 and the retry of repetition 1: rep 0's
     # retry succeeds, rep 1 is imputed, and t=3 and t=7 keep every bit
     model, sched = small_model(), small_schedule()
-    cfg = FeatureConfig(timesteps=(3, 5, 7), top_k=2, n_reps=4, aggregation="all")
+    cfg = FeatureConfig(timesteps=(3, 5, 7), top_k=1, n_reps=4, aggregation="all")
     seed, sid, t = 11, 4, 5
     sigma = sigma_at(sched, t)
     x = np.array([0.4, -0.2])
@@ -311,8 +311,8 @@ def random_mixture(d, m, seed):
 @pytest.mark.parametrize(
     "kind, aggregation, top_k, want",
     [
-        ("paper2d", "mean", 3, "a08e7f3d6eb50b0bb1face70bc5987657d6b6558a082b1eb4aa7d427f6129ee3"),
-        ("paper2d", "all", 2, "409b7bb659e0ae8a208bf71b155bfb7f98e30889a4719fe06ee89b344beb34ec"),
+        ("paper2d", "mean", 3, "41e3891522041de470797961ea1d601702170f3d553ce0602c69459361254219"),
+        ("paper2d", "all", 2, "40a68b1bf2e1ec60dfc82030f4e37881f750df6ef64796879e698b2693c45a70"),
         ("mixture24", "mean", 5, "f4a40a1fd3566a66420e650cb19f0d2b04b9b1368791638fb44633595cc3b6f9"),
         ("mixture24", "all", 3, "8a29d98aede5467e97c6b9b9f513c730b9cb55a1e1133a3e893319c3e175cd0c"),
         ("mlp8", "mean", 3, "ca26fe7d05ec5dfef85917fb89f0174214604f5de8f72f57d4fb1b2c0011d5c6"),

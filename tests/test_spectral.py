@@ -304,7 +304,8 @@ def test_batch_reports_rank_deficiency_per_row():
 
 
 def test_batch_all_rows_rank_deficient():
-    cfg = SpectralConfig(top_k=2, n_iters=5, early_stop_tol=0.0)
+    # k < d: a full basis takes no QR, so it cannot collapse
+    cfg = SpectralConfig(top_k=1, n_iters=5, early_stop_tol=0.0)
     out = subspace_iteration_batch(
         MostlyFine(), np.full((3, 2), 9.0), 0.5, cfg, [RngStream(1, (r,)) for r in range(3)]
     )
@@ -418,7 +419,7 @@ def pinned_model(kind, d):
     "kind, d, top_k, n_iters, want",
     [
         ("mixture", 2, 1, 10, [0.5491699593812487]),
-        ("mixture", 2, 2, 10, [0.5491699605637844, 0.2023480097855678]),
+        ("mixture", 2, 2, 10, [0.5491699663065864, 0.20234801404291142]),
         ("mixture", 24, 1, 15, [2.489198513678925]),
         (
             "mixture", 24, 5, 15,
@@ -434,14 +435,16 @@ def pinned_model(kind, d):
 )
 def test_subspace_pinned_values(kind, d, top_k, n_iters, want):
     # values recorded from the Rayleigh-Ritz estimator on these fixed inputs;
-    # a change to the sweep's arithmetic shows here
+    # a change to the sweep's arithmetic shows here.  At top_k = d the basis
+    # is the identity and one block product is the whole run
     x_t = np.random.default_rng(100 + d).standard_normal(d)
     cfg = SpectralConfig(top_k=top_k, n_iters=n_iters, early_stop_tol=0.0)
     res = subspace_iteration(
         pinned_model(kind, d), x_t, 0.7, cfg, rng=RngStream(23, (d, top_k))
     )
-    assert res.n_iters == n_iters
-    assert res.n_evals == 2 * top_k * (n_iters + 1)
+    iters = 0 if top_k == d else n_iters
+    assert res.n_iters == iters
+    assert res.n_evals == 2 * top_k * (iters + 1)
     np.testing.assert_allclose(res.raw_eigenvalues, want, rtol=1e-12)
     assert np.array_equal(res.eigenvalues, np.clip(res.raw_eigenvalues, 0.0, None))
 
@@ -462,20 +465,80 @@ def rotated(eigvals, seed):
     ],
     ids=["paper2d", "mixture3-k3", "mixture3-k5", "gaussian-ratio-0.99"],
 )
-def test_full_basis_stops_after_one_reorthonormalization(model, top_k):
-    # with k >= d the basis spans the whole space from the first sweep, so
-    # the Ritz values are exact there whatever the eigenvalue ratio, and the
-    # second sweep only confirms them: 2 block products, 4k evaluations
+def test_full_basis_takes_one_block_product(model, top_k):
+    # with k >= d the identity spans the whole space, so the Ritz values of
+    # the first block product are exact whatever the eigenvalue ratio, and
+    # every row stops there: no re-orthonormalization, 2d evaluations
     d = model.dim
-    k = min(top_k, d)
     sig = np.repeat([0.05, 0.4, 1.0, 3.0], 4)
     x_ts = np.random.default_rng(d).standard_normal((sig.size, d))
     rngs = [RngStream(13, (r,)) for r in range(sig.size)]
     cfg = SpectralConfig(top_k=top_k)
     for x_t, s, res in zip(x_ts, sig, subspace_iteration_batch(model, x_ts, sig, cfg, rngs)):
-        assert (res.n_iters, res.n_evals) == (1, 4 * k)
+        assert (res.n_iters, res.n_evals) == (0, 2 * d)
         want = analytic_spectrum(model, x_t, s, top_k=top_k).eigenvalues.sum()
         assert res.eigenvalues.sum() == pytest.approx(want, rel=1e-6)
+
+
+class Untouchable:
+    """A stream whose draws must never be asked for."""
+
+    def child(self, *lanes):
+        raise AssertionError("a full-basis row drew from its stream")
+
+
+def test_full_basis_draws_nothing_and_calls_once_per_run():
+    # the basis is the identity: no stream is touched, and each run of equal
+    # sigma gets one denoiser call on its rows' points x +- c e_j
+    model = random_mixture(3, 3, seed=3)
+    sig = np.array([0.5, 0.5, 1.3, 0.8, 0.8])
+    x_ts = np.random.default_rng(6).standard_normal((sig.size, 3))
+    cfg = SpectralConfig(top_k=3)
+    rec = Recording(model)
+    out = subspace_iteration_batch(rec, x_ts, sig, cfg, [Untouchable()] * sig.size)
+    assert all(res.n_evals == 6 for res in out)
+    assert [call[0] for call in rec.calls] == [0.5, 1.3, 0.8]
+    step = cfg.fd_rel * sig[:, None, None] * np.eye(3)
+    pts = np.concatenate([x_ts[:, None] + step, x_ts[:, None] - step], axis=1)
+    starts = [0, 2, 3, 5]
+    for (_, got, _), a, b in zip(rec.calls, starts, starts[1:]):
+        assert got == np.asfortranarray(pts[a:b].reshape(-1, 3)).tobytes()
+
+
+def test_full_basis_ignores_iteration_settings():
+    # nothing is left to iterate once the first product is exact, so the
+    # sweep cap and the early-stop tolerance cannot change a bit
+    model = random_mixture(3, 3, seed=3)
+    x_ts = np.random.default_rng(7).standard_normal((6, 3))
+    rngs = [RngStream(1, (r,)) for r in range(6)]
+    cfgs = [SpectralConfig(top_k=5, n_iters=n, early_stop_tol=tol) for n in (1, 15) for tol in (0.0, 1e-4)]
+    runs = [subspace_iteration_batch(model, x_ts, 0.6, cfg, rngs) for cfg in cfgs]
+    for other in runs[1:]:
+        for got, want in zip(other, runs[0]):
+            assert_same_result(got, want)
+
+
+def test_full_basis_rank_one_map_is_not_rank_deficient():
+    # only a QR of the products can collapse, and the full basis takes none:
+    # a rank-1 Jacobian gives (lambda, 0)
+    v = np.array([0.6, 0.8])
+    sigma = 0.9
+    lin = LinearDenoiser(2.0 * np.outer(v, v))
+    res = subspace_iteration(lin, np.ones(2), sigma, SpectralConfig(top_k=2), rng=Untouchable())
+    np.testing.assert_allclose(res.eigenvalues, [2.0 * sigma**2, 0.0], rtol=1e-9, atol=1e-9)
+    assert abs(res.eigenvectors[:, 0] @ v) == pytest.approx(1.0)
+
+
+def test_full_basis_row_independent_of_mixed_sigma_batch_mates():
+    # a row at one noise level among rows at others equals the row alone
+    model = random_mixture(2, 3, seed=2)
+    sig = np.array([0.3, 1.7, 1.7, 0.3, 0.05, 1.7])
+    x_ts = np.random.default_rng(9).standard_normal((sig.size, 2))
+    cfg = SpectralConfig(top_k=2)
+    rngs = [RngStream(5, (r,)) for r in range(sig.size)]
+    batch = subspace_iteration_batch(model, x_ts, sig, cfg, rngs)
+    for r in range(sig.size):
+        assert_same_result(batch[r], subspace_iteration(model, x_ts[r], sig[r], cfg, rng=rngs[r]))
 
 
 def test_indefinite_jacobian_sorted_by_signed_value():
