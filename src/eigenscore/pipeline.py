@@ -34,7 +34,13 @@ from .rng import (
     gaussian_vec,
 )
 from .schedule import NoiseSchedule, sigma_at, validate_timesteps
-from .spectral import SpectralConfig, _as_denoise_fn, subspace_iteration, subspace_iteration_batch
+from .spectral import (
+    SpectralConfig,
+    _as_denoise_fn,
+    full_basis,
+    subspace_iteration,
+    subspace_iteration_batch,
+)
 
 log = logging.getLogger(__name__)
 
@@ -159,8 +165,21 @@ class ScoreRecord:
     z: np.ndarray
 
 
-def config_hash(model_desc, schedule: NoiseSchedule, config: FeatureConfig, metric: str) -> str:
-    """Stable short hash of everything that shapes a feature vector."""
+def config_hash(
+    model_desc, schedule: NoiseSchedule, config: FeatureConfig, metric: str, dim: int
+) -> str:
+    """Stable short hash of everything that shapes a feature vector.
+
+    The spectral estimator is named for the path the eigenscore probe takes
+    at data dimension dim: "rayleigh-ritz" where it draws and iterates, or
+    where top_k >= dim, and another name where top_k < dim but the probe
+    takes the full basis (`spectral.full_basis`), whose features differ from
+    the iterated ones that hash once stood for.  Baseline metrics keep the
+    first name, since no probe shapes their features.
+    """
+    estimator = "rayleigh-ritz"
+    if metric == "eigenscore" and config.top_k < dim and full_basis(config.spectral, dim):
+        estimator = "rayleigh-ritz, full basis"
     doc = {
         "model": model_desc,
         "schedule": schedule.to_dict(),
@@ -168,7 +187,7 @@ def config_hash(model_desc, schedule: NoiseSchedule, config: FeatureConfig, metr
         "top_k": config.top_k,
         "n_reps": config.n_reps,
         "spectral": {
-            "estimator": "rayleigh-ritz",
+            "estimator": estimator,
             "n_iters": config.spectral.n_iters,
             "fd_rel": config.spectral.fd_rel,
             "early_stop_tol": config.spectral.early_stop_tol,
@@ -199,11 +218,12 @@ def eigen_feature(
     """Eigenvalue-sum feature vector for one sample.
 
     Per (timestep, repetition) the noise draw and the spectral starting
-    directions (drawn only when top_k < d) come from streams keyed by
-    (sample_id, t, repetition), so the result does not depend on
-    evaluation order.  All (timestep, repetition) rows run as one
+    directions come from streams keyed by (sample_id, t, repetition), so
+    the result does not depend on evaluation order; the starting
+    directions' streams are built only when the probe iterates (see
+    `spectral.full_basis`).  All (timestep, repetition) rows run as one
     `subspace_iteration_batch` call.  A repetition whose orthonormalization
-    collapses (top_k < d only) is retried once on a fresh stream and
+    collapses (iterated probes only) is retried once on a fresh stream and
     otherwise imputed with the median of the successful repetitions.
     The feature also carries each timestep's leading eigenvector
     (`EigenFeature.components`).
@@ -217,7 +237,9 @@ def eigen_feature(
     # each denoiser call covers one timestep's active rows; every row still
     # follows its own (sample, t, rep)-keyed streams
     x_ts = _noisy_points(x, timesteps, sigmas, reps, seed, sample_id)
-    rngs = [RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL)) for t in timesteps for rep in reps]
+    rngs = None
+    if not full_basis(config.spectral, x.shape[0]):
+        rngs = [RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL)) for t in timesteps for rep in reps]
     all_results = subspace_iteration_batch(
         denoiser, x_ts, np.repeat(sigmas, n_reps), config.spectral, rngs
     )

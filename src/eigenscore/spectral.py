@@ -37,6 +37,22 @@ from .rng import RngStream, gaussian_vec
 # this are a mistake, not a use case.
 MAX_DENSE_DIM = 4096
 
+# Bytes of eigenvectors one eigh call of the probe may return: rows that stop
+# on a full basis hold (rows, d, d) Ritz problems, factored in blocks of rows
+# this size, so the whole eigenvector stack never exists at once.
+EIGH_BLOCK_BYTES = 1 << 16
+
+# Where `full_basis` pays.  It costs 2d denoiser evaluations plus dense d x d
+# work (eigh of the Ritz problem and the rotation) that grows as d^3, against
+# 2k(n_iters + 1) evaluations for a row at the cap.  Timed on 1 thread with
+# mixtures and MLPs, it won whenever the budget k(n_iters + 1) covered d up
+# to d = FULL_BASIS_DENSE_D; beyond that the budget had to cover
+# d^2 / FULL_BASIS_DENSE_D (2d at d = 64).  Past FULL_BASIS_MAX_D even 2d
+# lost with a cheap network (0.8-0.9x at d = 96), and the (rows, d, d)
+# stacks grow as d^2, so larger d iterates unless top_k >= d.
+FULL_BASIS_DENSE_D = 32
+FULL_BASIS_MAX_D = 64
+
 
 @dataclass
 class SpectralConfig:
@@ -45,11 +61,16 @@ class SpectralConfig:
     top_k        number of leading eigenpairs (clamped to the data dim);
                  inside a FeatureConfig it is FeatureConfig.top_k
     n_iters      maximum re-orthonormalizations, so at most n_iters + 1
-                 block Jacobian products per row; one when top_k >= d
+                 block Jacobian products of k = min(top_k, d) columns per
+                 row.  It also decides the path: when that budget
+                 k(n_iters + 1) covers d, with a margin for d > 32, up to
+                 d = 64 (`full_basis`), the probe takes one block product
+                 of the d coordinate axes instead, exact and cheaper than
+                 a row at the cap
     fd_rel       finite-difference step as a fraction of sigma
     early_stop_tol  stop when every Ritz value changes by less than this
-                 relative amount between sweeps; 0 disables; unused when
-                 top_k >= d
+                 relative amount between sweeps; 0 disables; unused on the
+                 full basis
     """
 
     top_k: int = 3
@@ -68,8 +89,8 @@ class SpectralResult:
     max_j ||sigma^2 J v_j - lambda_j v_j|| over max_j |lambda_j| (0 for the
     dense oracles), `n_iters` the re-orthonormalizations performed,
     `n_evals` the denoiser evaluations, 2k(n_iters + 1) for the subspace
-    iteration (2d with n_iters 0 when k is the data dimension d), and
-    `asymmetry` (dense oracle only) max |J - J^T|.
+    iteration (2d with n_iters 0 on the full basis), and `asymmetry`
+    (dense oracle only) max |J - J^T|.
     """
 
     eigenvalues: np.ndarray
@@ -80,6 +101,22 @@ class SpectralResult:
     n_iters: int = 0
     n_evals: int = 0
     asymmetry: float | None = None
+
+
+def full_basis(config: SpectralConfig, d: int) -> bool:
+    """Whether the probe at data dimension d takes the identity as its basis.
+
+    With k = min(top_k, d), it always does when k = d.  Otherwise it does
+    when d <= FULL_BASIS_MAX_D and the capped budget of k(n_iters + 1) block
+    columns covers d, and d^2 / FULL_BASIS_DENSE_D when that is larger: a
+    row at the cap would then cost more than the identity's 2d evaluations
+    and its dense d x d Ritz problem, and Rayleigh-Ritz on the whole space
+    is exact where the capped row is not.
+    """
+    k = min(config.top_k, d)
+    budget = k * (config.n_iters + 1)
+    dense = FULL_BASIS_DENSE_D
+    return k == d or (d <= FULL_BASIS_MAX_D and budget * dense >= d * max(d, dense))
 
 
 def _as_denoise_fn(denoiser):
@@ -143,13 +180,17 @@ def jvp(denoiser, x_t: np.ndarray, sigma: float, v: np.ndarray, c: float) -> np.
     return _jvp_stack(fn, x_t[None], v[None, :, None], np.array([c]), [(0, 1, sigma)])[0, :, 0]
 
 
-def _jvp_stack(fn, x_ts: np.ndarray, cols: np.ndarray, c: np.ndarray, runs: list) -> np.ndarray:
+def _jvp_stack(
+    fn, x_ts: np.ndarray, cols: np.ndarray, c: np.ndarray, runs: list, block: int | None = None
+) -> np.ndarray:
     """Finite-difference Jacobian products for a stack of rows.
 
     x_ts is (n, d), cols (n, d, k) and c (n,), row r's step.  runs lists
     (start, stop, sigma) for the ranges of rows at one noise level; the
-    denoiser is called once per run, on that run's contiguous slice of the
-    finite-difference points.  Returns the (n, d, k) products as a
+    denoiser is called once per run and per block of at most `block`
+    columns (all k by default), on that run's contiguous slice of the
+    block's finite-difference points, so no call gets more than
+    2 * block points per row.  Returns the (n, d, k) products as a
     transposed view of a C-ordered (n, k, d) array, whatever the denoiser's
     output layout: a row's d-axis then stays contiguous whatever n is, and
     numpy sums a contiguous axis pairwise and a strided one in sequence, so
@@ -157,13 +198,16 @@ def _jvp_stack(fn, x_ts: np.ndarray, cols: np.ndarray, c: np.ndarray, runs: list
     """
     n, d, k = cols.shape
     c = c[:, None, None]
-    step = c * np.swapaxes(cols, 1, 2)
     x = x_ts[:, None, :]
-    pts = np.concatenate([x + step, x - step], axis=1).reshape(n * 2 * k, d)
     products = np.empty((n, k, d))
-    for a, b, sigma in runs:
-        out = _eval_batch(fn, pts[2 * k * a : 2 * k * b], sigma).reshape(b - a, 2 * k, d)
-        np.subtract(out[:, :k], out[:, k:], out=products[a:b])
+    width = k if block is None else block
+    for j in range(0, k, width):
+        w = min(width, k - j)
+        step = c * np.swapaxes(cols[:, :, j : j + w], 1, 2)
+        pts = np.concatenate([x + step, x - step], axis=1).reshape(n * 2 * w, d)
+        for a, b, sigma in runs:
+            out = _eval_batch(fn, pts[2 * w * a : 2 * w * b], sigma).reshape(b - a, 2 * w, d)
+            np.subtract(out[:, :w], out[:, w:], out=products[a:b, j : j + w])
     products /= 2.0 * c
     return np.swapaxes(products, 1, 2)
 
@@ -173,39 +217,45 @@ def subspace_iteration_batch(
     x_ts: np.ndarray,
     sigma: float | np.ndarray,
     config: SpectralConfig,
-    rngs: list,
+    rngs: list | None,
 ) -> list:
     """Estimate the top eigenpairs of sigma^2 * dD/dx at every row of x_ts.
 
     sigma is one noise level for every row or an (n,) array with one per
     row.  This is subspace iteration with Rayleigh-Ritz projection (Saad,
-    Numerical Methods for Large Eigenvalue Problems, ch. 5).  Row r starts
-    from the orthonormalized k random directions drawn from rngs[r] when
-    k = min(top_k, d) < d, and from the identity when k = d.  Each
+    Numerical Methods for Large Eigenvalue Problems, ch. 5).  With
+    k = min(top_k, d), row r starts from the orthonormalized k random
+    directions drawn from rngs[r], or from the d columns of the identity
+    when `full_basis(config, d)` holds: k = d, or d <= 64 and the budget
+    k(n_iters + 1) covers d with a margin that grows past d = 32.  Each
     sweep takes P = J Q, the finite-difference Jacobian product (step
     fd_rel * sigma_r) of the basis Q, and the Ritz values theta of
     H = sym(Q^T P); the next basis is qr(P).  A row stops once no
     sigma_r^2 theta changes by more than early_stop_tol (relative) from the
     sweep before, or after n_iters re-orthonormalizations.  Its last sweep
-    then rotates to the Ritz vectors y = Q u (u from eigh(H)), whose
-    products J y = P u it already holds: eigenvalue magnitude
-    sigma_r^2 * ||J y||, sign from y^T J y (analytic posteriors are PSD,
-    learned models occasionally are not), sorted by signed value; negatives
-    are clamped in `eigenvalues` and kept in `raw_eigenvalues`.  A row costs
-    2 * k * (n_iters + 1) denoiser evaluations.  When k is the data
-    dimension the identity spans the whole space, so Rayleigh-Ritz is exact
-    after one product: every row stops there with n_iters 0 and 2d
-    evaluations on the points x +- c e_j, and draws nothing from rngs, makes
-    no QR and takes no early-stop test.
+    then rotates to the Ritz vectors y = Q u of its k largest Ritz values
+    (u from eigh(H)), whose products J y = P u it already holds: eigenvalue
+    magnitude sigma_r^2 * ||J y||, sign from y^T J y (analytic posteriors
+    are PSD, learned models occasionally are not), sorted by signed value;
+    negatives are clamped in `eigenvalues` and kept in `raw_eigenvalues`.
+    An iterated row costs 2 * k * (n_iters + 1) denoiser evaluations and
+    converges to the k eigenvalues of largest magnitude.  The identity
+    spans the whole space, so on the full basis Rayleigh-Ritz is exact
+    after one product and its k largest Ritz values are the k largest
+    signed eigenvalues of sym(J): every row stops there with n_iters 0 and
+    2d evaluations on the points x +- c e_j, fewer than a row at the cap,
+    and draws nothing from rngs (which may be None), makes no QR and takes
+    no early-stop test.
 
-    The active rows' bases are held as one (rows, d, k) stack, and each
-    sweep is a fixed set of whole-stack operations: one denoiser call per
-    run of consecutive rows with equal sigma (so rows sharing a noise level
-    are best passed next to each other), on that run's active rows; one
-    stacked QR (none when k = d); the early-stop test, with a stacked
-    k x k eigvalsh for the rows whose trace of H moved little enough that
-    they might stop.  Rows that stop take one stacked eigh and leave the
-    stack.
+    The active rows' bases are held as one (rows, d, width) stack, width k
+    or d, and each sweep is a fixed set of whole-stack operations: one
+    denoiser call per run of consecutive rows with equal sigma (so rows
+    sharing a noise level are best passed next to each other) and per k
+    basis columns, so no call gets more than the run's rows x 2k points;
+    one stacked QR (none on the full basis); the early-stop test, with a
+    stacked k x k eigvalsh for the rows whose trace of H moved little
+    enough that they might stop.  Rows that stop take one stacked eigh and
+    leave the stack.
 
     Contract: a row's result is bit-identical whatever other rows share its
     batch, at whatever noise levels, in whatever order, and whatever thread
@@ -221,14 +271,12 @@ def subspace_iteration_batch(
     the same row alone to about 1e-12 only, but still never depend on
     threads or on rows at other noise levels, which never share its call.
 
-    Returns a list aligned with rngs whose entries are SpectralResult, or
-    the RankDeficientError a row's orthonormalization raised (k < d only)
-    so the caller can retry that row alone.
+    Returns a list aligned with the rows whose entries are SpectralResult,
+    or the RankDeficientError a row's orthonormalization raised (iterated
+    rows only) so the caller can retry that row alone.
     """
     x_ts = np.atleast_2d(np.asarray(x_ts, dtype=float))
     n_rows, d = x_ts.shape
-    if len(rngs) != n_rows:
-        raise DimMismatchError(f"{n_rows} points but {len(rngs)} streams")
     sigmas = np.asarray(sigma, dtype=float)
     if sigmas.ndim == 0:
         sigmas = np.full(n_rows, sigmas)
@@ -238,7 +286,14 @@ def subspace_iteration_batch(
         raise BadRangeError(f"sigma must be positive, got {sigmas[~(sigmas > 0.0)][0]}")
     if config.top_k < 1 or config.n_iters < 1:
         raise BadRangeError("top_k and n_iters must be >= 1")
+    full = full_basis(config, d)
+    if rngs is None:
+        if not full:
+            raise DimMismatchError(f"{n_rows} points draw starting directions, but rngs is None")
+    elif len(rngs) != n_rows:
+        raise DimMismatchError(f"{n_rows} points but {len(rngs)} streams")
     k = min(config.top_k, d)
+    width = d if full else k
     fn = _as_denoise_fn(denoiser)
     levels = sigmas.tolist()
     for s in dict.fromkeys(levels):
@@ -254,7 +309,6 @@ def subspace_iteration_batch(
         bounds = np.searchsorted(rows, starts).tolist() + [rows.size]
         return [(a, b, levels[r]) for a, b, r in zip(bounds, bounds[1:], starts) if a < b]
 
-    full = k == d
     if full:
         # the identity spans the whole space, so the first sweep's Ritz values
         # are exact and every row stops there; rngs go unused
@@ -284,9 +338,15 @@ def subspace_iteration_batch(
                 if act.size == 0:
                     break
                 cols, _ = qr_orthonormalize(mat)
-        products = _jvp_stack(fn, xa, cols, c[act], runs(act))
-        h = np.matmul(np.swapaxes(cols, 1, 2), products)
-        h = 0.5 * (h + np.swapaxes(h, 1, 2))
+        # k columns per denoiser call, as an iterated sweep makes, whatever the width
+        products = _jvp_stack(fn, xa, cols, c[act], runs(act), block=k)
+        if full:
+            # Q is the identity, so Q^T P is P: sym(P) without a (rows, d, d) copy
+            h = products + np.swapaxes(products, 1, 2)
+            h *= 0.5
+        else:
+            h = np.matmul(np.swapaxes(cols, 1, 2), products)
+            h = 0.5 * (h + np.swapaxes(h, 1, 2))
         done = np.full(act.size, full or sweep == config.n_iters)
         if prev is not None and tol > 0.0 and sweep < config.n_iters:
             # Ritz values sum to the trace, and the test lets it move by at most
@@ -301,11 +361,14 @@ def subspace_iteration_batch(
                 close = np.abs(est - old) <= tol * np.maximum(np.abs(old), 1e-12 * top[:, None])
                 done[cand] = np.logical_and.reduce(close, axis=1)
         if done.any():
-            # stopped rows rotate to their Ritz vectors y = Q u, whose J y = P u
-            theta, u = np.linalg.eigh(h[done])
-            vecs = np.matmul(cols[done], u)
-            jv = np.matmul(products[done], u)
-            s2r = s2[act[done]][:, None]
+            # stopped rows rotate to the Ritz vectors y = Q u of their k largest
+            # Ritz values, whose J y = P u.  When every row stops, as on the full
+            # basis, views stand in for the (rows, d, d) copies a mask would make
+            stop = slice(None) if done.all() else done
+            theta, u = _top_eigh(h[stop], k)
+            vecs = np.matmul(cols[stop], u)
+            jv = np.matmul(products[stop], u)
+            s2r = s2[act[stop]][:, None]
             mag = s2r * _col_norms(jv)
             raw = np.where(theta < 0.0, -mag, mag)
             top = np.maximum(np.maximum.reduce(mag, axis=1), 1e-300)
@@ -322,7 +385,7 @@ def subspace_iteration_batch(
                     sigma=levels[r],
                     residual=float(resid[i]),
                     n_iters=sweep,
-                    n_evals=2 * k * (sweep + 1),
+                    n_evals=2 * width * (sweep + 1),
                 )
             keep = ~done
             act, xa, products, h = act[keep], xa[keep], products[keep], h[keep]
@@ -331,6 +394,19 @@ def subspace_iteration_batch(
         mat = products
         prev = h
     return outcome
+
+
+def _top_eigh(h: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues (ascending) of each symmetric matrix in the
+    (n, m, m) stack h, and their eigenvectors (n, m, k), from eigh on blocks
+    of at most EIGH_BLOCK_BYTES of eigenvectors."""
+    n, m, _ = h.shape
+    theta, u = np.empty((n, k)), np.empty((n, m, k))
+    step = max(1, EIGH_BLOCK_BYTES // (8 * m * m))
+    for i in range(0, n, step):
+        t, v = np.linalg.eigh(h[i : i + step])
+        theta[i : i + step], u[i : i + step] = t[:, -k:], v[:, :, -k:]
+    return theta, u
 
 
 def subspace_iteration(

@@ -356,6 +356,29 @@ def test_calibration_of_the_column_norm_estimator_warns(cfg_path, tmp_path, capl
     assert _hash_warned(cfg_path, calib, data, tmp_path, caplog)
 
 
+@pytest.mark.parametrize(
+    "top_k, metric, old_hash, warns",
+    [
+        (1, None, "c228308962318a78", True),
+        (2, None, "679e52bb7eb0784e", False),
+        (2, "mse", "47419194da78cf71", False),
+        (1, "mse", "2ae787a12559d5ae", False),
+    ],
+    ids=["covered", "top_k-is-d", "mse", "mse-covered"],
+)
+def test_calibration_of_the_capped_iteration_warns(tmp_path, caplog, top_k, metric, old_hash, warns):
+    # these hashes are what calibrations fitted while rows with top_k < d
+    # always iterated carry.  BASE_CFG at top_k 1 now takes the full basis,
+    # so its features moved and the calibration must warn; at top_k = d = 2,
+    # and for a baseline metric, the features did not move and must not warn
+    cfg = make_cfg(tmp_path, name="capped.json", feature={"top_k": top_k})
+    data, calib, _ = run_flow(cfg, tmp_path, metric=metric)
+    doc = json.loads((tmp_path / "calib.json").read_text())
+    doc["config_hash"] = old_hash
+    (tmp_path / "calib.json").write_text(json.dumps(doc))
+    assert _hash_warned(cfg, calib, data, tmp_path, caplog) == warns
+
+
 def test_retrained_checkpoint_warns(cfg_path, tmp_path, caplog):
     # a net retrained into the same path must not silently reuse the old
     # calibration

@@ -45,10 +45,14 @@ from eigenscore.schedule import build_schedule, sigma_at
 from eigenscore.spectral import SpectralConfig, subspace_iteration
 
 
-def small_model():
-    return GaussianMixture(
-        [0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], [np.eye(2) * 0.6, np.eye(2) * 0.9]
-    )
+def small_model(d=2):
+    means = np.pad([[-1.0], [1.0]], ((0, 0), (0, d - 1)))
+    return GaussianMixture([0.5, 0.5], means, [np.eye(d) * 0.6, np.eye(d) * 0.9])
+
+
+# The retry tests need a QR that can collapse, so the probe must iterate:
+# top_k 1 with the default 15 re-orthonormalizations does so only past d = 16
+RETRY_DIM = 17
 
 
 def small_schedule():
@@ -167,12 +171,12 @@ def test_retry_recovers_from_local_rank_deficiency(caplog):
     # a denoiser whose Jacobian collapses in a small ball around the
     # first-attempt noisy point of one repetition; the retry lane lands
     # elsewhere and succeeds
-    model, sched = small_model(), small_schedule()
+    model, sched = small_model(RETRY_DIM), small_schedule()
     cfg = FeatureConfig(timesteps=(5,), top_k=1, n_reps=3, aggregation="all")
     seed, sid, t, rep = 11, 0, 5, 1
     sigma = sigma_at(sched, t)
-    x = np.array([0.4, -0.2])
-    bad_center = x + gaussian_vec(RngStream(seed, (sid, t, rep, LANE_NOISE)), 2, sigma)
+    x = np.pad([0.4, -0.2], (0, RETRY_DIM - 2))
+    bad_center = x + gaussian_vec(RngStream(seed, (sid, t, rep, LANE_NOISE)), RETRY_DIM, sigma)
 
     class Collapsing:
         def denoise(self, pts, s):
@@ -186,6 +190,25 @@ def test_retry_recovers_from_local_rank_deficiency(caplog):
         feat = eigen_feature(Collapsing(), x, sched, cfg, seed=seed, sample_id=sid)
     assert np.all(np.isfinite(feat.values))
     assert any("retry succeeded" in r.message for r in caplog.records)
+
+
+def test_spectral_streams_built_only_when_the_probe_draws(monkeypatch):
+    # a full basis draws no starting directions, so eigen_feature builds no
+    # (sample, t, rep, LANE_SPECTRAL) stream for it; an iterated probe builds
+    # one per (timestep, repetition) row
+    built = []
+    original = RngStream.__init__
+
+    def recording(self, seed, stream=()):
+        original(self, seed, stream)
+        built.append(self.stream)
+
+    monkeypatch.setattr(RngStream, "__init__", recording)
+    cfg = FeatureConfig(timesteps=(3, 7), top_k=1, n_reps=3)
+    for d, want in ((2, 0), (RETRY_DIM, 2 * 3)):
+        built.clear()
+        eigen_feature(small_model(d), np.zeros(d), small_schedule(), cfg, seed=0)
+        assert sum(len(s) == 4 and s[3] == LANE_SPECTRAL for s in built) == want
 
 
 def rep0_component(model, x, sched, t, seed, sid, lanes=(LANE_NOISE, LANE_SPECTRAL), top_k=2):
@@ -213,12 +236,12 @@ def test_components_equal_rep0_probe(threads):
 def test_components_come_from_rep0_retry():
     # repetition 0 collapses on its first attempt; its retry supplies the
     # component
-    model, sched = small_model(), small_schedule()
+    model, sched = small_model(RETRY_DIM), small_schedule()
     cfg = FeatureConfig(timesteps=(5,), top_k=1, n_reps=3, aggregation="all")
     seed, sid, t = 11, 0, 5
     sigma = sigma_at(sched, t)
-    x = np.array([0.4, -0.2])
-    bad_center = x + gaussian_vec(RngStream(seed, (sid, t, 0, LANE_NOISE)), 2, sigma)
+    x = np.pad([0.4, -0.2], (0, RETRY_DIM - 2))
+    bad_center = x + gaussian_vec(RngStream(seed, (sid, t, 0, LANE_NOISE)), RETRY_DIM, sigma)
 
     class Collapsing:
         def denoise(self, pts, s):
@@ -237,13 +260,13 @@ def test_components_come_from_rep0_retry():
 def test_all_failures_imputed_with_median(caplog):
     # collapse around both the first-attempt and the retry point of one
     # repetition; its value must equal the median of the others
-    model, sched = small_model(), small_schedule()
+    model, sched = small_model(RETRY_DIM), small_schedule()
     cfg = FeatureConfig(timesteps=(5,), top_k=1, n_reps=3, aggregation="all")
     seed, sid, t, rep = 11, 0, 5, 1
     sigma = sigma_at(sched, t)
-    x = np.array([0.4, -0.2])
+    x = np.pad([0.4, -0.2], (0, RETRY_DIM - 2))
     centers = [
-        x + gaussian_vec(RngStream(seed, (sid, t, rep, lane)), 2, sigma)
+        x + gaussian_vec(RngStream(seed, (sid, t, rep, lane)), RETRY_DIM, sigma)
         for lane in (LANE_NOISE, LANE_NOISE_RETRY)
     ]
 
@@ -266,13 +289,13 @@ def test_multi_timestep_retry_leaves_other_timesteps_alone(caplog):
     # the denoiser collapses only at t=5's noise level, around the first
     # attempt of repetitions 0 and 1 and the retry of repetition 1: rep 0's
     # retry succeeds, rep 1 is imputed, and t=3 and t=7 keep every bit
-    model, sched = small_model(), small_schedule()
+    model, sched = small_model(RETRY_DIM), small_schedule()
     cfg = FeatureConfig(timesteps=(3, 5, 7), top_k=1, n_reps=4, aggregation="all")
     seed, sid, t = 11, 4, 5
     sigma = sigma_at(sched, t)
-    x = np.array([0.4, -0.2])
+    x = np.pad([0.4, -0.2], (0, RETRY_DIM - 2))
     centers = [
-        x + gaussian_vec(RngStream(seed, (sid, t, rep, lane)), 2, sigma)
+        x + gaussian_vec(RngStream(seed, (sid, t, rep, lane)), RETRY_DIM, sigma)
         for rep, lane in ((0, LANE_NOISE), (1, LANE_NOISE), (1, LANE_NOISE_RETRY))
     ]
 
@@ -309,23 +332,28 @@ def random_mixture(d, m, seed):
 
 
 @pytest.mark.parametrize(
-    "kind, aggregation, top_k, want",
+    "kind, aggregation, top_k, n_iters, want",
     [
-        ("paper2d", "mean", 3, "41e3891522041de470797961ea1d601702170f3d553ce0602c69459361254219"),
-        ("paper2d", "all", 2, "40a68b1bf2e1ec60dfc82030f4e37881f750df6ef64796879e698b2693c45a70"),
-        ("mixture24", "mean", 5, "f4a40a1fd3566a66420e650cb19f0d2b04b9b1368791638fb44633595cc3b6f9"),
-        ("mixture24", "all", 3, "8a29d98aede5467e97c6b9b9f513c730b9cb55a1e1133a3e893319c3e175cd0c"),
-        ("mlp8", "mean", 3, "ca26fe7d05ec5dfef85917fb89f0174214604f5de8f72f57d4fb1b2c0011d5c6"),
-        ("mlp8", "all", 5, "fc9fc6dd0087791f867861e28f9f32c06ccb211cd083dbc1004d2073e00f0c9e"),
+        ("paper2d", "mean", 3, 15, "41e3891522041de470797961ea1d601702170f3d553ce0602c69459361254219"),
+        ("paper2d", "all", 2, 15, "40a68b1bf2e1ec60dfc82030f4e37881f750df6ef64796879e698b2693c45a70"),
+        ("mixture24", "mean", 5, 15, "2aeb7a697c5c9552abaf25fa9dea2bc764ef9dadc952abc3d431db9494efe212"),
+        ("mixture24", "all", 3, 15, "b74bdae38beca4d6111225cf4455478f5040ad2f468606c0b14c612f3efa5164"),
+        ("mlp8", "mean", 3, 15, "52714c3dfef78370f5c227c01ea7f4dc195faa7b66afbfcc75ed7d35aff7385c"),
+        ("mlp8", "all", 5, 15, "4b5bf94dcdc16a160bd8f0b66df19081eada667b174effb12cb43687ac134039"),
+        ("mixture24", "mean", 5, 3, "01aed9cea2f9d5e89e112ff2942aec8a7cb1f6d35101dc601c67940f4f13b740"),
     ],
     # ids without the digest, so a re-recorded digest keeps the test's name
-    ids=["paper2d-mean-3", "paper2d-all-2", "mixture24-mean-5", "mixture24-all-3", "mlp8-mean-3", "mlp8-all-5"],
+    ids=[
+        "paper2d-mean-3", "paper2d-all-2", "mixture24-mean-5", "mixture24-all-3", "mlp8-mean-3", "mlp8-all-5",
+        "mixture24-mean-5-iterated",
+    ],
 )
-def test_multi_timestep_features_pinned(kind, aggregation, top_k, want):
+def test_multi_timestep_features_pinned(kind, aggregation, top_k, n_iters, want):
     # sha256 of eigen_feature values and components over five timesteps,
     # recorded from the Rayleigh-Ritz estimator; any change
     # to a row's arithmetic or to the points a denoiser call receives shows
-    # here (x86-64, OpenBLAS)
+    # here (x86-64, OpenBLAS).  With 15 sweeps every case covers its d and
+    # takes the full basis; the last one (5 * 4 < 24) iterates
     if kind == "paper2d":
         weights, covs = [0.6, 0.37, 0.03], [0.09 * np.eye(2), np.eye(2), 16.0 * np.eye(2)]
         model = GaussianMixture(weights, np.zeros((3, 2)), covs)
@@ -333,7 +361,8 @@ def test_multi_timestep_features_pinned(kind, aggregation, top_k, want):
         model = random_mixture(24, 3, seed=24) if kind == "mixture24" else MlpDenoiser(8, (16, 16), seed=3)
     sched = build_schedule("geometric", 0.02, 10.0, 1000)
     cfg = FeatureConfig(
-        timesteps=(1, 50, 200, 500, 1000), top_k=top_k, n_reps=6, aggregation=aggregation
+        timesteps=(1, 50, 200, 500, 1000), top_k=top_k, n_reps=6, aggregation=aggregation,
+        spectral=SpectralConfig(n_iters=n_iters),
     )
     xs = np.random.default_rng(model.dim).standard_normal((2, model.dim))
     digest = hashlib.sha256()
@@ -619,13 +648,27 @@ def test_nll_score_needs_analytic_model():
 def test_config_hash_stable_and_sensitive():
     sched = small_schedule()
     cfg = FeatureConfig(timesteps=(3, 7), top_k=2, n_reps=4)
-    a = config_hash({"kind": "gmm"}, sched, cfg, "eigenscore")
-    b = config_hash({"kind": "gmm"}, sched, cfg, "eigenscore")
+    a = config_hash({"kind": "gmm"}, sched, cfg, "eigenscore", 2)
+    b = config_hash({"kind": "gmm"}, sched, cfg, "eigenscore", 2)
     assert a == b and len(a) == 16
-    c = config_hash({"kind": "gmm"}, sched, FeatureConfig(timesteps=(3, 7), top_k=3), "eigenscore")
+    c = config_hash({"kind": "gmm"}, sched, FeatureConfig(timesteps=(3, 7), top_k=3), "eigenscore", 2)
     assert c != a
-    d = config_hash({"kind": "gmm"}, sched, cfg, "mse")
+    d = config_hash({"kind": "gmm"}, sched, cfg, "mse", 2)
     assert d != a
+
+
+def test_config_hash_names_the_full_basis_only_where_features_moved():
+    # the estimator's name changes only for eigenscore rows with top_k < d
+    # that take the full basis; elsewhere the hash is the one calibrations
+    # fitted when every top_k < d row iterated carry
+    sched = small_schedule()
+    cfg = FeatureConfig(timesteps=(3, 7), top_k=2, n_reps=4)
+    assert config_hash({"kind": "gmm"}, sched, cfg, "eigenscore", 2) == "fd19ed518f6fae72"
+    for dim in (2, 8, 100):
+        assert config_hash({"kind": "gmm"}, sched, cfg, "mse", dim) == "5fadc0a1441d74a4"
+    # top_k 2 with 15 sweeps covers d = 8 but not d = 100
+    assert config_hash({"kind": "gmm"}, sched, cfg, "eigenscore", 100) == "fd19ed518f6fae72"
+    assert config_hash({"kind": "gmm"}, sched, cfg, "eigenscore", 8) != "fd19ed518f6fae72"
 
 
 def test_calibration_round_trips_through_dict():

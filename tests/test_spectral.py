@@ -20,6 +20,7 @@ from eigenscore.spectral import (
     _jvp_stack,
     analytic_spectrum,
     exact_spectrum,
+    full_basis,
     jvp,
     subspace_iteration,
     subspace_iteration_batch,
@@ -86,9 +87,10 @@ def test_subspace_matches_analytic_diagonal():
 
 
 def test_subspace_eval_count_and_iterations():
-    g = GaussianMixture.single(np.zeros(3), np.eye(3))
+    # d = 17 is past the budget 2 * (7 + 1) = 16, so the basis iterates
+    g = GaussianMixture.single(np.zeros(17), np.eye(17))
     cfg = SpectralConfig(top_k=2, n_iters=7, early_stop_tol=0.0)
-    res = subspace_iteration(g, np.zeros(3), 1.0, cfg, rng=RngStream(0))
+    res = subspace_iteration(g, np.zeros(17), 1.0, cfg, rng=RngStream(0))
     assert res.n_iters == 7
     assert res.n_evals == 2 * 2 * (7 + 1)
 
@@ -216,15 +218,21 @@ def test_batch_matches_sequential_bitwise():
             assert_same_result(batch[r], subspace_iteration(g, x_ts[r], 0.9, cfg, rng=rngs[r]))
 
 
+def iterated(d, top_k, cap=15):
+    """The largest n_iters up to cap whose budget top_k(n_iters + 1) stays
+    below d, so the probe iterates instead of taking the full basis."""
+    return min(cap, (d - 1) // top_k - 1)
+
+
 @pytest.mark.parametrize(
     "d, top_k, model",
     [
-        (16, 4, "mixture"),
-        (24, 5, "mixture"),
-        (33, 8, "mixture"),
+        (49, 4, "mixture"),
+        (57, 5, "mixture"),
+        (97, 8, "mixture"),
         (40, 1, "mixture"),
         (33, 4, "matmul"),
-        (16, 4, "elementwise"),
+        (33, 4, "elementwise"),
     ],
 )
 def test_batch_matches_sequential_bitwise_high_dim(d, top_k, model):
@@ -232,7 +240,8 @@ def test_batch_matches_sequential_bitwise_high_dim(d, top_k, model):
     # sums contiguous axes pairwise and strided ones in sequence, so this
     # only holds if a row's layouts do not change with the row count.  The
     # mixture and the matmul return C-ordered rows, the elementwise callable
-    # keeps the Fortran order of the points it is given
+    # keeps the Fortran order of the points it is given.  Each case iterates
+    # (k(n_iters + 1) < d), where rows leave the stack at different sweeps
     if model == "mixture":
         g = random_mixture(d, 3, seed=d)
     elif model == "elementwise":
@@ -244,7 +253,7 @@ def test_batch_matches_sequential_bitwise_high_dim(d, top_k, model):
     gen = np.random.default_rng(d)
     x_ts = gen.standard_normal((12, d))
     rngs = [RngStream(5, (d, r)) for r in range(12)]
-    cfg = SpectralConfig(top_k=top_k, n_iters=15, early_stop_tol=1e-2)
+    cfg = SpectralConfig(top_k=top_k, n_iters=iterated(d, top_k), early_stop_tol=1e-2)
     batch = subspace_iteration_batch(g, x_ts, 0.8, cfg, rngs)
     for r in range(12):
         assert_same_result(batch[r], subspace_iteration(g, x_ts[r], 0.8, cfg, rng=rngs[r]))
@@ -287,27 +296,28 @@ class MostlyFine:
 
 def test_batch_reports_rank_deficiency_per_row():
     # the middle row collapses on its first sweep; the rows around it keep
-    # iterating to the end and still match their one-row results
+    # iterating to the end and still match their one-row results (d = 28
+    # is past the budget 3 * (8 + 1) = 27, so the basis iterates)
     cfg = SpectralConfig(top_k=3, n_iters=8, early_stop_tol=0.0)
-    x_ts = np.zeros((5, 4))
+    x_ts = np.zeros((5, 28))
     x_ts[2] = 9.0
-    x_ts[[0, 1, 3, 4]] += np.random.default_rng(4).standard_normal((4, 4))
+    x_ts[[0, 1, 3, 4]] += np.random.default_rng(4).standard_normal((4, 28))
     rngs = [RngStream(2, (r,)) for r in range(5)]
-    out = subspace_iteration_batch(MostlyFine(4), x_ts, 0.5, cfg, rngs)
+    out = subspace_iteration_batch(MostlyFine(28), x_ts, 0.5, cfg, rngs)
     assert isinstance(out[2], RankDeficientError)
     assert out[2].indices == (2,)
     with pytest.raises(RankDeficientError):
-        subspace_iteration(MostlyFine(4), x_ts[2], 0.5, cfg, rng=rngs[2])
+        subspace_iteration(MostlyFine(28), x_ts[2], 0.5, cfg, rng=rngs[2])
     for r in (0, 1, 3, 4):
         assert out[r].n_iters == 8
-        assert_same_result(out[r], subspace_iteration(MostlyFine(4), x_ts[r], 0.5, cfg, rng=rngs[r]))
+        assert_same_result(out[r], subspace_iteration(MostlyFine(28), x_ts[r], 0.5, cfg, rng=rngs[r]))
 
 
 def test_batch_all_rows_rank_deficient():
-    # k < d: a full basis takes no QR, so it cannot collapse
+    # k(n_iters + 1) = 6 < d = 8: a full basis takes no QR, so it cannot collapse
     cfg = SpectralConfig(top_k=1, n_iters=5, early_stop_tol=0.0)
     out = subspace_iteration_batch(
-        MostlyFine(), np.full((3, 2), 9.0), 0.5, cfg, [RngStream(1, (r,)) for r in range(3)]
+        MostlyFine(8), np.full((3, 8), 9.0), 0.5, cfg, [RngStream(1, (r,)) for r in range(3)]
     )
     assert all(isinstance(o, RankDeficientError) for o in out)
 
@@ -327,13 +337,14 @@ class Recording:
 def test_mixed_sigma_rows_match_single_sigma_calls():
     # rows at three noise levels, interleaved in runs of one to three rows,
     # two of them rank-deficient: every row equals its own one-row call, and
-    # its own single-sigma batch
+    # its own single-sigma batch (d = 34 is past the budget 3 * (10 + 1) = 33,
+    # so the basis iterates)
     cfg = SpectralConfig(top_k=3, n_iters=10, early_stop_tol=1e-4)
     sig = np.array([0.5, 0.5, 1.3, 0.8, 0.8, 0.8, 0.5, 1.3, 1.3, 0.5])
-    x_ts = np.random.default_rng(8).standard_normal((sig.size, 4))
+    x_ts = np.random.default_rng(8).standard_normal((sig.size, 34))
     x_ts[[4, 7]] = 9.0
     rngs = [RngStream(4, (r,)) for r in range(sig.size)]
-    model = MostlyFine(4)
+    model = MostlyFine(34)
     batch = subspace_iteration_batch(model, x_ts, sig, cfg, rngs)
     for r in range(sig.size):
         if r in (4, 7):
@@ -418,33 +429,43 @@ def pinned_model(kind, d):
 @pytest.mark.parametrize(
     "kind, d, top_k, n_iters, want",
     [
-        ("mixture", 2, 1, 10, [0.5491699593812487]),
+        ("mixture", 2, 1, 10, [0.5491699663065864]),
         ("mixture", 2, 2, 10, [0.5491699663065864, 0.20234801404291142]),
         ("mixture", 24, 1, 15, [2.489198513678925]),
         (
             "mixture", 24, 5, 15,
-            [2.489198513678906, 0.4076579005119745, 0.3886467248296818,
-             0.3720758445858023, 0.34740657784364876],
+            [2.489199995859544, 0.4083901775387436, 0.39237655228449436,
+             0.375717249025349, 0.371742171752593],
         ),
         (
             "matmul", 33, 4, 15,
-            [3.5932978584872086, 3.3060889596197307, 3.303014981148973, -3.4842314225041706],
+            [3.613083972499901, 3.3161812632215795, 3.2688893421404335, 2.913742344908805],
         ),
         ("mlp", 32, 3, 8, [0.3163161933370631, 0.26420217272064833, -0.3045250251903769]),
+        (
+            "mixture", 24, 5, 3,
+            [2.489179755627652, 0.3857567576430734, 0.36263051832381193,
+             0.3405409516178981, 0.3135990704396121],
+        ),
+        (
+            "matmul", 33, 4, 7,
+            [3.500719203221975, 3.3551421623640274, 3.2957027838190935, -3.325435137201247],
+        ),
     ],
 )
 def test_subspace_pinned_values(kind, d, top_k, n_iters, want):
     # values recorded from the Rayleigh-Ritz estimator on these fixed inputs;
-    # a change to the sweep's arithmetic shows here.  At top_k = d the basis
-    # is the identity and one block product is the whole run
+    # a change to the sweep's arithmetic shows here.  Where `full_basis` holds
+    # the basis is the identity and one block product is the whole run
     x_t = np.random.default_rng(100 + d).standard_normal(d)
     cfg = SpectralConfig(top_k=top_k, n_iters=n_iters, early_stop_tol=0.0)
     res = subspace_iteration(
         pinned_model(kind, d), x_t, 0.7, cfg, rng=RngStream(23, (d, top_k))
     )
-    iters = 0 if top_k == d else n_iters
+    full = full_basis(cfg, d)
+    iters = 0 if full else n_iters
     assert res.n_iters == iters
-    assert res.n_evals == 2 * top_k * (iters + 1)
+    assert res.n_evals == 2 * (d if full else top_k) * (iters + 1)
     np.testing.assert_allclose(res.raw_eigenvalues, want, rtol=1e-12)
     assert np.array_equal(res.eigenvalues, np.clip(res.raw_eigenvalues, 0.0, None))
 
@@ -462,13 +483,15 @@ def rotated(eigvals, seed):
         (random_mixture(3, 3, seed=3), 3),
         (random_mixture(3, 3, seed=3), 5),
         (GaussianMixture.single(np.zeros(2), rotated([1.0, 0.99], seed=4)), 2),
+        (random_mixture(24, 3, seed=24), 3),
     ],
-    ids=["paper2d", "mixture3-k3", "mixture3-k5", "gaussian-ratio-0.99"],
+    ids=["paper2d", "mixture3-k3", "mixture3-k5", "gaussian-ratio-0.99", "mixture24-k3-covered"],
 )
 def test_full_basis_takes_one_block_product(model, top_k):
-    # with k >= d the identity spans the whole space, so the Ritz values of
-    # the first block product are exact whatever the eigenvalue ratio, and
-    # every row stops there: no re-orthonormalization, 2d evaluations
+    # with k >= d, or where `full_basis` holds for k < d, the basis is the
+    # identity, so the Ritz values of the first block product are exact
+    # whatever the eigenvalue ratio, and every row stops there: no
+    # re-orthonormalization, 2d evaluations
     d = model.dim
     sig = np.repeat([0.05, 0.4, 1.0, 3.0], 4)
     x_ts = np.random.default_rng(d).standard_normal((sig.size, d))
@@ -503,6 +526,82 @@ def test_full_basis_draws_nothing_and_calls_once_per_run():
     starts = [0, 2, 3, 5]
     for (_, got, _), a, b in zip(rec.calls, starts, starts[1:]):
         assert got == np.asfortranarray(pts[a:b].reshape(-1, 3)).tobytes()
+
+
+def test_full_basis_exactly_when_the_cap_budget_covers_d():
+    # top_k 3 with 3 re-orthonormalizations has a budget of k(n_iters + 1) = 12
+    # columns: at d = 13 the rows iterate on their drawn starting directions,
+    # and streams are required; at d = 12 they take the identity, touch no
+    # stream (None will do) and match the dense oracle
+    cfg = SpectralConfig(top_k=3, n_iters=3, early_stop_tol=0.0)
+    for d in (13, 12):
+        model = random_mixture(d, 3, seed=d)
+        x_ts = np.random.default_rng(d).standard_normal((4, d))
+        assert full_basis(cfg, d) == (d == 12)
+        if d == 13:
+            out = subspace_iteration_batch(model, x_ts, 0.7, cfg, [RngStream(3, (r,)) for r in range(4)])
+            assert all((res.n_iters, res.n_evals) == (3, 2 * 3 * 4) for res in out)
+            with pytest.raises(DimMismatchError, match="rngs is None"):
+                subspace_iteration_batch(model, x_ts, 0.7, cfg, None)
+            continue
+        out = subspace_iteration_batch(model, x_ts, 0.7, cfg, [Untouchable()] * 4)
+        for x_t, res, bare in zip(x_ts, out, subspace_iteration_batch(model, x_ts, 0.7, cfg, None)):
+            assert (res.n_iters, res.n_evals) == (0, 2 * d)
+            want = exact_spectrum(model, x_t, 0.7, top_k=3).raw_eigenvalues
+            np.testing.assert_allclose(res.raw_eigenvalues, want, rtol=1e-6)
+            assert_same_result(bare, res)
+
+
+def test_full_basis_margin_past_d_32_and_ceiling_at_d_64():
+    # past d = 32 the budget must cover d^2 / 32, since the dense d x d Ritz
+    # problem grows as d^3; past d = 64 only top_k >= d takes the full basis
+    def covers(top_k, n_iters, d):
+        return full_basis(SpectralConfig(top_k=top_k, n_iters=n_iters), d)
+
+    assert covers(2, 15, 32) and not covers(2, 14, 32)
+    assert covers(5, 15, 48) and not covers(4, 15, 48)
+    assert covers(8, 15, 64) and not covers(7, 15, 64) and not covers(4, 15, 64)
+    assert not covers(64, 15, 65) and covers(65, 1, 65) and covers(100, 1, 65)
+    # at d = 64 a budget of 4 * 16 = d still iterates, to the cap
+    cfg = SpectralConfig(top_k=4, n_iters=15, early_stop_tol=0.0)
+    model = random_mixture(64, 3, seed=64)
+    x_ts = np.random.default_rng(64).standard_normal((2, 64))
+    out = subspace_iteration_batch(model, x_ts, 0.7, cfg, [RngStream(3, (r,)) for r in range(2)])
+    assert all((res.n_iters, res.n_evals) == (15, 2 * 4 * 16) for res in out)
+
+
+def test_full_basis_calls_take_k_columns_at_a_time():
+    # a covered row (k < d, `full_basis`) runs the identity's d columns k
+    # at a time, so no denoiser call gets more points than an iterated sweep,
+    # its run's rows x 2k; every row still makes 2d evaluations
+    d, k = 13, 3
+    model = random_mixture(d, 3, seed=d)
+    sig = np.array([0.5, 0.5, 1.3, 0.8, 0.8])
+    x_ts = np.random.default_rng(6).standard_normal((sig.size, d))
+    rec = Recording(model)
+    out = subspace_iteration_batch(rec, x_ts, sig, SpectralConfig(top_k=k, n_iters=4), None)
+    assert all((res.n_iters, res.n_evals) == (0, 2 * d) for res in out)
+    run_rows = {0.5: 2, 1.3: 1, 0.8: 2}
+    points = [len(pts) // (8 * d) for _, pts, _ in rec.calls]
+    assert all(n <= run_rows[s] * 2 * k for (s, _, _), n in zip(rec.calls, points))
+    assert sum(points) == sig.size * 2 * d
+
+
+def test_covered_network_reports_its_largest_signed_eigenpairs():
+    # the untrained d=32 network at top_k 3 and the default 15 sweeps covers
+    # d (3 * 16 >= 32): its Ritz vectors are the dense oracle's three leading
+    # eigenvectors of sym(J), all with positive values, where 8 capped sweeps
+    # (3 * 9 < 32) give a negative direction of large magnitude a slot.  The
+    # values are sigma^2 ||J y||, above the oracle's where J is not symmetric
+    model = pinned_model("mlp", 32)
+    x_t = np.random.default_rng(132).standard_normal(32)
+    oracle = exact_spectrum(model, x_t, 0.7, top_k=3)
+    res = subspace_iteration(model, x_t, 0.7, SpectralConfig(top_k=3), rng=Untouchable())
+    cos = np.abs(np.sum(res.eigenvectors * oracle.eigenvectors, axis=0))
+    np.testing.assert_allclose(cos, 1.0, atol=1e-9)
+    assert np.all(res.raw_eigenvalues > 0.0)
+    capped = subspace_iteration(model, x_t, 0.7, SpectralConfig(top_k=3, n_iters=8), rng=RngStream(23, (32, 3)))
+    assert capped.raw_eigenvalues[-1] < 0.0
 
 
 def test_full_basis_ignores_iteration_settings():
@@ -576,13 +675,16 @@ def ritz_stop_sweep(fn, x_t, sigma, cfg, rng):
 @pytest.mark.parametrize("model, tol", [("mixture", 1e-2), ("mixture", 1e-3), ("mlp", 1e-2), ("mlp", 1e-4)])
 def test_early_stop_matches_eigvalsh_on_every_sweep(model, tol):
     # the engine skips eigvalsh for rows whose trace of H moved too far to
-    # stop; every row must still stop exactly where the plain rule stops
-    net = random_mixture(12, 3, seed=5) if model == "mixture" else MlpDenoiser(12, hidden=(16,), seed=5)
-    x_ts = np.random.default_rng(5).standard_normal((24, 12))
+    # stop; every row must still stop exactly where the plain rule stops.
+    # d = 32 is past the budget 3 * (9 + 1) = 30, so the basis iterates; at
+    # sigma 2 the mixture, and the network through its 8-wide hidden layer,
+    # have gaps that let some rows, not all, stop early at each tolerance
+    net = random_mixture(32, 3, seed=5) if model == "mixture" else MlpDenoiser(32, hidden=(8,), seed=5)
+    x_ts = np.random.default_rng(5).standard_normal((24, 32))
     rngs = [RngStream(8, (r,)) for r in range(24)]
-    cfg = SpectralConfig(top_k=3, n_iters=15, early_stop_tol=tol)
-    got = [res.n_iters for res in subspace_iteration_batch(net, x_ts, 0.6, cfg, rngs)]
-    want = [ritz_stop_sweep(net.denoise, x, 0.6, cfg, rng) for x, rng in zip(x_ts, rngs)]
+    cfg = SpectralConfig(top_k=3, n_iters=9, early_stop_tol=tol)
+    got = [res.n_iters for res in subspace_iteration_batch(net, x_ts, 2.0, cfg, rngs)]
+    want = [ritz_stop_sweep(net.denoise, x, 2.0, cfg, rng) for x, rng in zip(x_ts, rngs)]
     assert got == want
     assert 0 < sum(n < cfg.n_iters for n in got) < len(got)
 
