@@ -17,17 +17,6 @@ class NonFiniteError(EigenscoreError):
     """An input or intermediate value is NaN or infinite."""
 
 
-class RankDeficientError(EigenscoreError):
-    """Columns became numerically dependent during orthonormalization.
-
-    `indices` lists the deficient matrices when a stack was factored.
-    """
-
-    def __init__(self, message: str = "", indices=()):
-        super().__init__(message)
-        self.indices = tuple(indices)
-
-
 class BadRangeError(EigenscoreError):
     """A schedule or config parameter is outside its valid range."""
 

@@ -9,15 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimMismatchError,
-    NonFiniteError,
-    NotSquareError,
-    RankDeficientError,
-)
-
-# Columns whose R diagonal falls below this are treated as dependent.
-RANK_TOL = 1e-10
+from .errors import DimMismatchError, NonFiniteError, NotSquareError
 
 
 def _check_finite(a: np.ndarray, name: str) -> None:
@@ -29,7 +21,10 @@ def qr_orthonormalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR with columns flipped so diag(R) >= 0.
 
     A stack of matrices is factored in one call; each matrix gets exactly
-    the factors it would get on its own.
+    the factors it would get on its own.  The input may have any rank: Q
+    is LAPACK's Householder Q, whose columns are orthonormal and span the
+    input's columns whatever their rank, and a column dependent on the
+    ones before it gets a zero (or roundoff-sized) R diagonal.
 
     Parameters
     ----------
@@ -38,17 +33,10 @@ def qr_orthonormalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns
     -------
     q : ndarray, shape (..., n, k)
-        Orthonormal columns spanning the input columns.
+        Orthonormal columns whose span holds the input columns.
     r : ndarray, shape (..., k, k)
-        Upper triangular, non-negative diagonal.
-
-    Raises
-    ------
-    RankDeficientError
-        If any R diagonal magnitude is below 1e-10, i.e. a column is
-        numerically dependent on the ones before it.  For a stack, the
-        error's `indices` name the deficient matrices as flat positions
-        over the leading axes.
+        Upper triangular, non-negative diagonal, with q @ r equal to the
+        input.
     """
     a = np.asarray(mat, dtype=float)
     if a.ndim < 2:
@@ -58,20 +46,7 @@ def qr_orthonormalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DimMismatchError(f"need k <= n, got shape {a.shape}")
     _check_finite(a, "matrix")
     q, r = np.linalg.qr(a, mode="reduced")
-    diag = r.diagonal(axis1=-2, axis2=-1)
-    smallest = np.minimum.reduce(np.abs(diag), axis=-1)
-    if (smallest < RANK_TOL).any():
-        if a.ndim == 2:
-            raise RankDeficientError(
-                f"column residual {smallest:.3e} below {RANK_TOL:.0e}"
-            )
-        bad = np.flatnonzero(smallest < RANK_TOL)
-        raise RankDeficientError(
-            f"matrices {bad.tolist()}: column residual "
-            f"{smallest.min():.3e} below {RANK_TOL:.0e}",
-            indices=bad.tolist(),
-        )
-    flip = np.where(diag < 0.0, -1.0, 1.0)
+    flip = np.where(r.diagonal(axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
     return q * flip[..., None, :], r * flip[..., :, None]
 
 

@@ -21,19 +21,12 @@ from .errors import (
     BadRangeError,
     ConfigError,
     LayoutMismatchError,
-    RankDeficientError,
     TooFewSamplesError,
     TooFewTimestepsError,
 )
-from .rng import (
-    LANE_NOISE,
-    LANE_NOISE_RETRY,
-    LANE_SPECTRAL,
-    LANE_SPECTRAL_RETRY,
-    RngStream,
-    gaussian_vec,
-)
+from .rng import LANE_NOISE, LANE_SPECTRAL, RngStream, gaussian_vec
 from .schedule import NoiseSchedule, sigma_at, validate_timesteps
+# subspace_iteration is unused here, but perfbench/spans.py traces it in this namespace
 from .spectral import (
     SpectralConfig,
     _as_denoise_fn,
@@ -84,8 +77,7 @@ class EigenFeature:
 
     layout pairs (timestep, slot): slot is 1 for mean/median aggregation
     and runs 1..n_reps when all repetitions are kept.  components (T, d)
-    holds, per timestep, the leading eigenvector of the lowest-numbered
-    repetition that produced a spectrum (a successful retry counts); it is
+    holds, per timestep, the leading eigenvector of repetition 0; it is
     None for the baseline metrics.
     """
 
@@ -200,10 +192,10 @@ def config_hash(
 # -- feature extraction ---------------------------------------------------
 
 
-def _noisy_points(x, timesteps, sigmas, reps, seed, sample_id, lane=LANE_NOISE):
+def _noisy_points(x, timesteps, sigmas, reps, seed, sample_id):
     """x + sigma_t z for each timestep t (noise level sigma_t) and each
-    repetition in reps, timestep-major; z from its (sample, t, rep, lane) stream."""
-    rngs = [RngStream(seed, (sample_id, t, rep, lane)) for t in timesteps for rep in reps]
+    repetition in reps, timestep-major; z from its (sample, t, rep, LANE_NOISE) stream."""
+    rngs = [RngStream(seed, (sample_id, t, rep, LANE_NOISE)) for t in timesteps for rep in reps]
     return x[None, :] + gaussian_vec(rngs, x.shape[0], np.repeat(sigmas, len(reps)))
 
 
@@ -222,10 +214,10 @@ def eigen_feature(
     the result does not depend on evaluation order; the starting
     directions' streams are built only when the probe iterates (see
     `spectral.full_basis`).  All (timestep, repetition) rows run as one
-    `subspace_iteration_batch` call.  A repetition whose orthonormalization
-    collapses (iterated probes only) is retried once on a fresh stream and
-    otherwise imputed with the median of the successful repetitions.
-    The feature also carries each timestep's leading eigenvector
+    `subspace_iteration_batch` call, one probe per row; a row whose
+    Jacobian products lose rank reads the eigenvalues of the subspace it
+    found, about 0 for the missing ones.  The feature also carries each
+    timestep's leading eigenvector from repetition 0
     (`EigenFeature.components`).
     """
     x = np.asarray(x, dtype=float)
@@ -243,43 +235,9 @@ def eigen_feature(
     all_results = subspace_iteration_batch(
         denoiser, x_ts, np.repeat(sigmas, n_reps), config.spectral, rngs
     )
-    failed: list[list[int]] = [[] for _ in timesteps]
-    for i, out in enumerate(all_results):
-        if isinstance(out, RankDeficientError):
-            ti, rep = divmod(i, n_reps)
-            t, sigma = timesteps[ti], sigmas[ti]
-            (x_t,) = _noisy_points(x, (t,), (sigma,), (rep,), seed, sample_id, LANE_NOISE_RETRY)
-            rng = RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL_RETRY))
-            try:
-                all_results[i] = subspace_iteration(denoiser, x_t, sigma, config.spectral, rng)
-            except RankDeficientError:
-                failed[ti].append(rep)
-                continue
-            log.warning(
-                "sample %d t=%d rep %d: rank-deficient subspace, retry succeeded",
-                sample_id, t, rep,
-            )
-    # one reduction over every repetition's eigenvalues; a failed one sums
-    # zeros here and is imputed below
-    lost = np.zeros(min(config.top_k, x.shape[0]))
-    vals = np.array([lost if isinstance(r, RankDeficientError) else r.eigenvalues for r in all_results])
+    vals = np.array([r.eigenvalues for r in all_results])
     raw = np.add.reduce(vals, axis=1).reshape(len(timesteps), n_reps)
-    components = np.empty((len(timesteps), x.shape[0]))
-    for ti, t in enumerate(timesteps):
-        if failed[ti]:
-            ok = np.delete(raw[ti], failed[ti])
-            if ok.size == 0:
-                raise RankDeficientError(
-                    f"all {n_reps} repetitions failed at t={t}"
-                )
-            raw[ti, failed[ti]] = np.median(ok)
-            log.warning(
-                "sample %d t=%d: %d repetition(s) imputed with the median",
-                sample_id, t, len(failed[ti]),
-            )
-        results = all_results[ti * n_reps : (ti + 1) * n_reps]
-        first = next(r for r in results if not isinstance(r, RankDeficientError))
-        components[ti] = first.eigenvectors[:, 0]
+    components = np.array([r.eigenvectors[:, 0] for r in all_results[::n_reps]])
     feature = _aggregate(raw, timesteps, config.aggregation, n_reps, sample_id)
     return replace(feature, components=components)
 

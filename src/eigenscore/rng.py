@@ -38,11 +38,10 @@ from .errors import BadRangeError, DimMismatchError
 
 # Lane constants appended to stream ids so that the noise draw and the
 # spectral starting vectors of the same (sample, timestep, repetition)
-# never share a stream.  Retries get their own lanes.
+# never share a stream.  Lanes 2 and 3 are unused, so the others keep the
+# values that earlier versions' streams were drawn with.
 LANE_NOISE = 0
 LANE_SPECTRAL = 1
-LANE_NOISE_RETRY = 2
-LANE_SPECTRAL_RETRY = 3
 LANE_TRAIN = 4
 LANE_DATA = 5
 

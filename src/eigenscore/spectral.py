@@ -28,7 +28,6 @@ from .errors import (
     DimMismatchError,
     DimTooLargeError,
     NonFiniteDenoiserOutputError,
-    RankDeficientError,
 )
 from .linalg import qr_orthonormalize, sym_eig
 from .rng import RngStream, gaussian_vec
@@ -52,6 +51,11 @@ EIGH_BLOCK_BYTES = 1 << 16
 # stacks grow as d^2, so larger d iterates unless top_k >= d.
 FULL_BASIS_DENSE_D = 32
 FULL_BASIS_MAX_D = 64
+
+# A finite-difference step below this fraction of max |x_t| is an error:
+# x_t +- c v then rounds toward x_t, and at this ratio rounding x_t alone
+# already costs about 2e-6 of the step (float64 spacing 2.2e-16 / 1e-10).
+FD_RESOLUTION = 1e-10
 
 
 @dataclass
@@ -161,11 +165,25 @@ def _check_fd_step(c: float, sigma: float) -> None:
         )
 
 
+def _check_fd_resolution(c: np.ndarray, x_ts: np.ndarray) -> None:
+    """Raise BadRangeError naming the first row r of x_ts (n, d) whose step
+    c[r] is below FD_RESOLUTION * max |x_ts[r]|."""
+    floor = FD_RESOLUTION * np.maximum.reduce(np.abs(x_ts), axis=1)
+    bad = np.flatnonzero(c < floor)
+    if bad.size:
+        r = bad[0]
+        raise BadRangeError(
+            f"row {r}: finite-difference step {c[r]:.3g} is below x_t's float "
+            f"resolution, {FD_RESOLUTION:.0e} * max|x_t| = {floor[r]:.3g}"
+        )
+
+
 def jvp(denoiser, x_t: np.ndarray, sigma: float, v: np.ndarray, c: float) -> np.ndarray:
     """Jacobian-vector product of the denoiser at x_t along v.
 
     Central difference (D(x_t + c v) - D(x_t - c v)) / (2 c); exactly two
-    denoiser evaluations.
+    denoiser evaluations.  A step c below 1e-10 * max |x_t| is a
+    BadRangeError, since x_t +- c v would round to x_t.
     """
     x_t = np.asarray(x_t, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -176,6 +194,7 @@ def jvp(denoiser, x_t: np.ndarray, sigma: float, v: np.ndarray, c: float) -> np.
     if not sigma > 0.0:
         raise BadRangeError(f"sigma must be positive, got {sigma}")
     _check_fd_step(c, sigma)
+    _check_fd_resolution(np.array([c]), x_t[None])
     fn = _as_denoise_fn(denoiser)
     return _jvp_stack(fn, x_t[None], v[None, :, None], np.array([c]), [(0, 1, sigma)])[0, :, 0]
 
@@ -232,7 +251,10 @@ def subspace_iteration_batch(
     fd_rel * sigma_r) of the basis Q, and the Ritz values theta of
     H = sym(Q^T P); the next basis is qr(P).  A row stops once no
     sigma_r^2 theta changes by more than early_stop_tol (relative) from the
-    sweep before, or after n_iters re-orthonormalizations.  Its last sweep
+    sweep before, or after n_iters re-orthonormalizations.  When P loses
+    rank, Q has found an invariant subspace: qr(P) still gives orthonormal
+    columns whose span holds P's, and the eigenvalues missing from P read
+    about 0.  A row's last sweep
     then rotates to the Ritz vectors y = Q u of its k largest Ritz values
     (u from eigh(H)), whose products J y = P u it already holds: eigenvalue
     magnitude sigma_r^2 * ||J y||, sign from y^T J y (analytic posteriors
@@ -271,9 +293,11 @@ def subspace_iteration_batch(
     the same row alone to about 1e-12 only, but still never depend on
     threads or on rows at other noise levels, which never share its call.
 
-    Returns a list aligned with the rows whose entries are SpectralResult,
-    or the RankDeficientError a row's orthonormalization raised (iterated
-    rows only) so the caller can retry that row alone.
+    A row whose step fd_rel * sigma_r is below 1e-10 * max |x_t| is a
+    BadRangeError naming it: x_t +- c v would round to x_t, and every
+    product would read 0.
+
+    Returns a list of SpectralResult aligned with the rows.
     """
     x_ts = np.atleast_2d(np.asarray(x_ts, dtype=float))
     n_rows, d = x_ts.shape
@@ -299,6 +323,7 @@ def subspace_iteration_batch(
     for s in dict.fromkeys(levels):
         _check_fd_step(config.fd_rel * s, s)
     c = config.fd_rel * sigmas
+    _check_fd_resolution(c, x_ts)
     s2 = sigmas * sigmas
     tol = config.early_stop_tol
     # a run is a range of rows at one noise level
@@ -323,21 +348,7 @@ def subspace_iteration_batch(
     act, xa, prev = np.arange(n_rows), x_ts, None
     for sweep in range(config.n_iters + 1):
         if not full:
-            try:
-                cols, _ = qr_orthonormalize(mat)
-            except RankDeficientError as e:
-                # rare: the collapsed rows leave, the rest are factored again
-                for i in e.indices:
-                    outcome[act[i]] = RankDeficientError(
-                        f"row {act[i]}, sweep {sweep}: {e}", indices=(act[i],)
-                    )
-                ok = np.ones(act.size, dtype=bool)
-                ok[list(e.indices)] = False
-                act, xa, mat = act[ok], xa[ok], mat[ok]
-                prev = None if prev is None else prev[ok]
-                if act.size == 0:
-                    break
-                cols, _ = qr_orthonormalize(mat)
+            cols, _ = qr_orthonormalize(mat)
         # k columns per denoiser call, as an iterated sweep makes, whatever the width
         products = _jvp_stack(fn, xa, cols, c[act], runs(act), block=k)
         if full:
@@ -419,14 +430,12 @@ def subspace_iteration(
     """Estimate the top eigenpairs of sigma^2 * dD/dx at the one point x_t.
 
     The one-row case of `subspace_iteration_batch`, which describes the
-    method; a collapsed subspace raises its RankDeficientError.
+    method.
     """
     x_t = np.asarray(x_t, dtype=float)
     if x_t.ndim != 1:
         raise DimMismatchError(f"x_t must be 1-d, got shape {x_t.shape}")
     (result,) = subspace_iteration_batch(denoiser, x_t[None], sigma, config, [rng])
-    if isinstance(result, RankDeficientError):
-        raise result
     return result
 
 

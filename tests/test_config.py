@@ -358,3 +358,70 @@ def test_numbers_keyword_agrees_with_per_item_schema(
     calib = dict(calibration_doc(), mu=mu, sigma=sigma)
     for kind, doc in (("config", {"model": model, **extra}), ("calibration", calib)):
         assert loaded_outcome(tmp_path, kind, doc) == reference_outcome(kind, doc)
+
+
+NUMBER_OR_BIG = st.one_of(st.floats(), st.integers(), st.integers(-(2**1100), 2**1100))
+JSON_LEAF = st.one_of(st.none(), st.booleans(), NUMBER_OR_BIG, st.sampled_from(["", "x", "mse", "all"]))
+JSON_VALUE = st.recursive(
+    JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+# per field, an array entry or a whole value of the type the schema admits,
+# so that many mutations get past the schema to Calibration.from_dict
+CALIBRATION_ENTRIES = {
+    "timesteps": st.integers(),
+    "mu": NUMBER_OR_BIG,
+    "sigma": NUMBER_OR_BIG,
+    "layout": st.lists(st.integers(), min_size=2, max_size=2),
+}
+CALIBRATION_VALUES = {
+    **{key: st.lists(entry, max_size=3) for key, entry in CALIBRATION_ENTRIES.items()},
+    "metric": st.sampled_from(["eigenscore", "mse", "nll", "Eigenscore", ""]),
+    "aggregation": st.sampled_from(["mean", "median", "all"]),
+    "n_train": st.integers(),
+    "config_hash": st.text(max_size=4),
+    "extra": JSON_VALUE,
+}
+
+
+@st.composite
+def mutated_calibration(draw):
+    """A valid calibration document with a few fields, or entries of its
+    arrays, replaced, removed, added to or cut short."""
+    doc = dict(calibration_doc(), config_hash="deadbeef")
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(CALIBRATION_VALUES)))
+        op = draw(st.sampled_from(["set", "set-entry", "append", "truncate", "delete"]))
+        held = doc.get(key)
+        entry = st.one_of(JSON_LEAF, CALIBRATION_ENTRIES.get(key, JSON_LEAF))
+        if op == "delete":
+            doc.pop(key, None)
+        elif isinstance(held, list) and op == "set-entry" and held:
+            held[draw(st.integers(0, len(held) - 1))] = draw(entry)
+        elif isinstance(held, list) and op == "append":
+            held.append(draw(entry))
+        elif isinstance(held, list) and op == "truncate":
+            del held[draw(st.integers(0, len(held))) :]
+        else:
+            doc[key] = draw(st.one_of(JSON_VALUE, CALIBRATION_VALUES[key]))
+    return doc
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=mutated_calibration())
+def test_accepted_calibration_docs_load_or_raise_config_error(tmp_path_factory, doc):
+    # whatever load_calibration_doc accepts, Calibration.from_dict either
+    # loads or rejects with a ConfigError, so `score` exits 2, not with a
+    # traceback
+    path = write_json(tmp_path_factory.mktemp("calib"), "calib.json", doc)
+    try:
+        loaded = load_calibration_doc(path)
+    except ConfigError:
+        return
+    try:
+        calib = Calibration.from_dict(loaded)
+    except ConfigError:
+        return
+    assert len(calib.mu) == len(calib.sigma) == len(calib.layout)
+    assert np.all(np.isfinite(calib.mu)) and np.all(calib.sigma >= 0.0)

@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -33,14 +34,7 @@ from eigenscore.pipeline import (
     score_norm,
     tune,
 )
-from eigenscore.rng import (
-    LANE_NOISE,
-    LANE_NOISE_RETRY,
-    LANE_SPECTRAL,
-    LANE_SPECTRAL_RETRY,
-    RngStream,
-    gaussian_vec,
-)
+from eigenscore.rng import LANE_NOISE, LANE_SPECTRAL, RngStream, gaussian_vec
 from eigenscore.schedule import build_schedule, sigma_at
 from eigenscore.spectral import SpectralConfig, subspace_iteration
 
@@ -50,9 +44,10 @@ def small_model(d=2):
     return GaussianMixture([0.5, 0.5], means, [np.eye(d) * 0.6, np.eye(d) * 0.9])
 
 
-# The retry tests need a QR that can collapse, so the probe must iterate:
-# top_k 1 with the default 15 re-orthonormalizations does so only past d = 16
-RETRY_DIM = 17
+# The collapse tests need a QR of products that vanish, so the probe must
+# iterate: top_k 1 with the default 15 re-orthonormalizations does so only
+# past d = 16
+ITERATED_DIM = 17
 
 
 def small_schedule():
@@ -167,29 +162,44 @@ def test_extract_features_checks_ids():
         extract_features(model, np.zeros((2, 2)), sched, cfg, seed=0, sample_ids=[1])
 
 
-def test_retry_recovers_from_local_rank_deficiency(caplog):
-    # a denoiser whose Jacobian collapses in a small ball around the
-    # first-attempt noisy point of one repetition; the retry lane lands
-    # elsewhere and succeeds
-    model, sched = small_model(RETRY_DIM), small_schedule()
+class CollapsingNear:
+    """model's denoiser, zeroed in a ball of radius 0.1 around each center
+    (at one noise level only, if sigma is given): the Jacobian vanishes
+    there, so a probe whose noisy point lies in a ball reads zeros."""
+
+    def __init__(self, model, centers, sigma=None):
+        self.model, self.centers, self.sigma = model, centers, sigma
+
+    def denoise(self, pts, s):
+        out = self.model.denoise(pts, s)
+        if self.sigma is None or s == self.sigma:
+            for c in self.centers:
+                out[np.linalg.norm(pts - c, axis=1) < 0.1] = 0.0
+        return out
+
+
+def noisy_point(x, sched, seed, sid, t, rep):
+    """The noisy point of repetition rep at timestep t, as eigen_feature draws it."""
+    return x + gaussian_vec(RngStream(seed, (sid, t, rep, LANE_NOISE)), x.shape[0], sigma_at(sched, t))
+
+
+def test_local_rank_deficiency_reads_zero(caplog):
+    # the Jacobian vanishes around the noisy point of one repetition: that
+    # repetition reads 0, with no second probe, no imputation and no log
+    # line, and the others keep the healthy model's every bit
+    model, sched = small_model(ITERATED_DIM), small_schedule()
     cfg = FeatureConfig(timesteps=(5,), top_k=1, n_reps=3, aggregation="all")
     seed, sid, t, rep = 11, 0, 5, 1
-    sigma = sigma_at(sched, t)
-    x = np.pad([0.4, -0.2], (0, RETRY_DIM - 2))
-    bad_center = x + gaussian_vec(RngStream(seed, (sid, t, rep, LANE_NOISE)), RETRY_DIM, sigma)
-
-    class Collapsing:
-        def denoise(self, pts, s):
-            pts2 = np.atleast_2d(np.asarray(pts, dtype=float))
-            out = model.denoise(pts2, s)
-            bad = np.linalg.norm(pts2 - bad_center, axis=1) < 0.1
-            out[bad] = 0.0
-            return out[0] if np.asarray(pts).ndim == 1 else out
-
-    with caplog.at_level(logging.WARNING, logger="eigenscore.pipeline"):
-        feat = eigen_feature(Collapsing(), x, sched, cfg, seed=seed, sample_id=sid)
-    assert np.all(np.isfinite(feat.values))
-    assert any("retry succeeded" in r.message for r in caplog.records)
+    x = np.pad([0.4, -0.2], (0, ITERATED_DIM - 2))
+    collapsing = CollapsingNear(model, [noisy_point(x, sched, seed, sid, t, rep)])
+    with caplog.at_level(logging.DEBUG, logger="eigenscore"):
+        feat = eigen_feature(collapsing, x, sched, cfg, seed=seed, sample_id=sid)
+    assert not caplog.records
+    healthy = eigen_feature(model, x, sched, cfg, seed=seed, sample_id=sid)
+    assert feat.values[rep] == 0.0 and healthy.values[rep] > 0.0
+    others = [0, 2]
+    assert np.array_equal(feat.values[others], healthy.values[others])
+    assert np.array_equal(feat.components, healthy.components)
 
 
 def test_spectral_streams_built_only_when_the_probe_draws(monkeypatch):
@@ -205,18 +215,21 @@ def test_spectral_streams_built_only_when_the_probe_draws(monkeypatch):
 
     monkeypatch.setattr(RngStream, "__init__", recording)
     cfg = FeatureConfig(timesteps=(3, 7), top_k=1, n_reps=3)
-    for d, want in ((2, 0), (RETRY_DIM, 2 * 3)):
+    for d, want in ((2, 0), (ITERATED_DIM, 2 * 3)):
         built.clear()
         eigen_feature(small_model(d), np.zeros(d), small_schedule(), cfg, seed=0)
         assert sum(len(s) == 4 and s[3] == LANE_SPECTRAL for s in built) == want
 
 
-def rep0_component(model, x, sched, t, seed, sid, lanes=(LANE_NOISE, LANE_SPECTRAL), top_k=2):
+def rep0_component(model, x, sched, t, seed, sid, top_k=2):
     """The leading eigenvector of repetition 0, probed on its own."""
     sigma = sigma_at(sched, t)
-    z = gaussian_vec(RngStream(seed, (sid, t, 0, lanes[0])), x.shape[0], sigma)
     res = subspace_iteration(
-        model, x + z, sigma, SpectralConfig(top_k=top_k), rng=RngStream(seed, (sid, t, 0, lanes[1]))
+        model,
+        noisy_point(x, sched, seed, sid, t, 0),
+        sigma,
+        SpectralConfig(top_k=top_k),
+        rng=RngStream(seed, (sid, t, 0, LANE_SPECTRAL)),
     )
     return res.eigenvectors[:, 0]
 
@@ -233,93 +246,94 @@ def test_components_equal_rep0_probe(threads):
         assert np.array_equal(f.components, want)
 
 
-def test_components_come_from_rep0_retry():
-    # repetition 0 collapses on its first attempt; its retry supplies the
-    # component
-    model, sched = small_model(RETRY_DIM), small_schedule()
+def test_components_come_from_collapsed_rep0():
+    # repetition 0 collapses; the component is still its probe's leading
+    # Ritz vector, a unit vector, and the other repetitions are untouched
+    model, sched = small_model(ITERATED_DIM), small_schedule()
     cfg = FeatureConfig(timesteps=(5,), top_k=1, n_reps=3, aggregation="all")
     seed, sid, t = 11, 0, 5
-    sigma = sigma_at(sched, t)
-    x = np.pad([0.4, -0.2], (0, RETRY_DIM - 2))
-    bad_center = x + gaussian_vec(RngStream(seed, (sid, t, 0, LANE_NOISE)), RETRY_DIM, sigma)
-
-    class Collapsing:
-        def denoise(self, pts, s):
-            out = model.denoise(pts, s)
-            out[np.linalg.norm(pts - bad_center, axis=1) < 0.1] = 0.0
-            return out
-
-    feat = eigen_feature(Collapsing(), x, sched, cfg, seed=seed, sample_id=sid)
-    retry = rep0_component(
-        Collapsing(), x, sched, t, seed, sid, lanes=(LANE_NOISE_RETRY, LANE_SPECTRAL_RETRY), top_k=1
-    )
-    assert not np.array_equal(retry, rep0_component(model, x, sched, t, seed, sid, top_k=1))
-    assert np.array_equal(feat.components[0], retry)
+    x = np.pad([0.4, -0.2], (0, ITERATED_DIM - 2))
+    collapsing = CollapsingNear(model, [noisy_point(x, sched, seed, sid, t, 0)])
+    feat = eigen_feature(collapsing, x, sched, cfg, seed=seed, sample_id=sid)
+    want = rep0_component(collapsing, x, sched, t, seed, sid, top_k=1)
+    assert np.array_equal(feat.components[0], want)
+    assert np.linalg.norm(want) == pytest.approx(1.0)
+    assert not np.array_equal(want, rep0_component(model, x, sched, t, seed, sid, top_k=1))
+    healthy = eigen_feature(model, x, sched, cfg, seed=seed, sample_id=sid)
+    assert feat.values[0] == 0.0
+    assert np.array_equal(feat.values[1:], healthy.values[1:])
 
 
-def test_all_failures_imputed_with_median(caplog):
-    # collapse around both the first-attempt and the retry point of one
-    # repetition; its value must equal the median of the others
-    model, sched = small_model(RETRY_DIM), small_schedule()
-    cfg = FeatureConfig(timesteps=(5,), top_k=1, n_reps=3, aggregation="all")
-    seed, sid, t, rep = 11, 0, 5, 1
-    sigma = sigma_at(sched, t)
-    x = np.pad([0.4, -0.2], (0, RETRY_DIM - 2))
-    centers = [
-        x + gaussian_vec(RngStream(seed, (sid, t, rep, lane)), RETRY_DIM, sigma)
-        for lane in (LANE_NOISE, LANE_NOISE_RETRY)
-    ]
-
-    class Collapsing:
-        def denoise(self, pts, s):
-            pts2 = np.atleast_2d(np.asarray(pts, dtype=float))
-            out = model.denoise(pts2, s)
-            for c in centers:
-                out[np.linalg.norm(pts2 - c, axis=1) < 0.1] = 0.0
-            return out[0] if np.asarray(pts).ndim == 1 else out
-
-    with caplog.at_level(logging.WARNING, logger="eigenscore.pipeline"):
-        feat = eigen_feature(Collapsing(), x, sched, cfg, seed=seed, sample_id=sid)
-    others = np.delete(feat.values, rep)
-    assert feat.values[rep] == np.median(others)
-    assert any("imputed" in r.message for r in caplog.records)
+def test_all_repetitions_collapsed_read_zero(caplog):
+    # every repetition of one timestep collapses: the timestep reads 0
+    # under every aggregation, with no error, and the other timestep keeps
+    # every bit
+    model, sched = small_model(ITERATED_DIM), small_schedule()
+    seed, sid, t = 11, 0, 5
+    x = np.pad([0.4, -0.2], (0, ITERATED_DIM - 2))
+    centers = [noisy_point(x, sched, seed, sid, t, rep) for rep in range(3)]
+    collapsing = CollapsingNear(model, centers, sigma=sigma_at(sched, t))
+    for agg in ("all", "mean", "median"):
+        cfg = FeatureConfig(timesteps=(3, 5), top_k=1, n_reps=3, aggregation=agg)
+        with caplog.at_level(logging.DEBUG, logger="eigenscore"):
+            feat = eigen_feature(collapsing, x, sched, cfg, seed=seed, sample_id=sid)
+        healthy = eigen_feature(model, x, sched, cfg, seed=seed, sample_id=sid)
+        values, want = feat.values.reshape(2, -1), healthy.values.reshape(2, -1)
+        assert np.array_equal(values[1], np.zeros_like(values[1]))
+        assert np.array_equal(values[0], want[0])
+        assert np.array_equal(feat.components[0], healthy.components[0])
+    assert not caplog.records
 
 
-def test_multi_timestep_retry_leaves_other_timesteps_alone(caplog):
-    # the denoiser collapses only at t=5's noise level, around the first
-    # attempt of repetitions 0 and 1 and the retry of repetition 1: rep 0's
-    # retry succeeds, rep 1 is imputed, and t=3 and t=7 keep every bit
-    model, sched = small_model(RETRY_DIM), small_schedule()
+def test_multi_timestep_collapse_leaves_other_timesteps_alone(caplog):
+    # the denoiser collapses only at t=5's noise level, around repetitions
+    # 0 and 1: those two read 0, and every other repetition and timestep,
+    # components included, keeps the healthy model's every bit
+    model, sched = small_model(ITERATED_DIM), small_schedule()
     cfg = FeatureConfig(timesteps=(3, 5, 7), top_k=1, n_reps=4, aggregation="all")
     seed, sid, t = 11, 4, 5
-    sigma = sigma_at(sched, t)
-    x = np.pad([0.4, -0.2], (0, RETRY_DIM - 2))
-    centers = [
-        x + gaussian_vec(RngStream(seed, (sid, t, rep, lane)), RETRY_DIM, sigma)
-        for rep, lane in ((0, LANE_NOISE), (1, LANE_NOISE), (1, LANE_NOISE_RETRY))
-    ]
-
-    class CollapsingAtOneLevel:
-        def denoise(self, pts, s):
-            out = model.denoise(pts, s)
-            if s == sigma:
-                for c in centers:
-                    out[np.linalg.norm(pts - c, axis=1) < 0.1] = 0.0
-            return out
-
-    with caplog.at_level(logging.WARNING, logger="eigenscore.pipeline"):
-        feat = eigen_feature(CollapsingAtOneLevel(), x, sched, cfg, seed=seed, sample_id=sid)
-    assert [r.getMessage() for r in caplog.records] == [
-        "sample 4 t=5 rep 0: rank-deficient subspace, retry succeeded",
-        "sample 4 t=5: 1 repetition(s) imputed with the median",
-    ]
+    x = np.pad([0.4, -0.2], (0, ITERATED_DIM - 2))
+    centers = [noisy_point(x, sched, seed, sid, t, rep) for rep in (0, 1)]
+    collapsing = CollapsingNear(model, centers, sigma=sigma_at(sched, t))
+    with caplog.at_level(logging.DEBUG, logger="eigenscore"):
+        feat = eigen_feature(collapsing, x, sched, cfg, seed=seed, sample_id=sid)
+    assert not caplog.records
     healthy = eigen_feature(model, x, sched, cfg, seed=seed, sample_id=sid)
     values, want = feat.values.reshape(3, 4), healthy.values.reshape(3, 4)
     assert np.array_equal(values[[0, 2]], want[[0, 2]])
     assert np.array_equal(feat.components[[0, 2]], healthy.components[[0, 2]])
+    assert np.array_equal(values[1, :2], [0.0, 0.0])
     assert np.array_equal(values[1, 2:], want[1, 2:])
-    assert values[1, 0] != want[1, 0]
-    assert values[1, 1] == np.median(values[1, [0, 2, 3]])
+
+
+def test_rank_two_mixture_feature_is_finite():
+    # top_k 4 at d = 100 iterates, and a rank-2 posterior makes its block
+    # products lose rank on every repetition: the feature is still the sum
+    # of the leading eigenvalues, about the two non-zero ones
+    d, m = 100, 3
+    gen = np.random.default_rng(0)
+    factors = gen.standard_normal((m, d, 2))
+    model = GaussianMixture(np.full(m, 1.0 / m), 2.0 * gen.standard_normal((m, d)), factors @ np.swapaxes(factors, 1, 2))
+    sched = small_schedule()
+    cfg = FeatureConfig(timesteps=(3, 7), top_k=4, n_reps=3, aggregation="all")
+    x = model.sample(RngStream(1, (0,)), 1)[0]
+    feat = eigen_feature(model, x, sched, cfg, seed=2)
+    assert np.all(np.isfinite(feat.values)) and np.all(feat.values > 0.0)
+    assert np.all(np.isfinite(feat.components))
+
+
+def test_zero_denoiser_gives_zero_features(caplog):
+    # D = 0 has a zero Jacobian: every probe collapses at once, on the
+    # iterated path and on the full basis, and reads 0 without a warning
+    sched = small_schedule()
+    cfg = FeatureConfig(timesteps=(3, 7), top_k=1, n_reps=3, aggregation="all")
+    for d in (ITERATED_DIM, 2):
+        with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="eigenscore"):
+            warnings.simplefilter("error")
+            feat = eigen_feature(lambda x, s: np.zeros_like(x), np.ones(d), sched, cfg, seed=0)
+        assert np.array_equal(feat.values, np.zeros(6))
+        assert np.all(np.isfinite(feat.components))
+    assert not caplog.records
 
 
 def random_mixture(d, m, seed):

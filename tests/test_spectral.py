@@ -8,7 +8,6 @@ from eigenscore.errors import (
     DimMismatchError,
     DimTooLargeError,
     NonFiniteDenoiserOutputError,
-    RankDeficientError,
 )
 from eigenscore.gmm import GaussianMixture
 from eigenscore.linalg import qr_orthonormalize, sym_eig
@@ -294,32 +293,124 @@ class MostlyFine:
         return out[0] if np.asarray(x).ndim == 1 else out
 
 
+def assert_collapsed(res, k):
+    """A row whose products vanish: finite zeros, orthonormal Ritz vectors."""
+    assert np.array_equal(res.raw_eigenvalues, np.zeros(k))
+    assert np.array_equal(res.eigenvalues, np.zeros(k))
+    assert res.residual == 0.0
+    vecs = res.eigenvectors
+    assert np.all(np.isfinite(vecs))
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(k), atol=1e-12)
+
+
 def test_batch_reports_rank_deficiency_per_row():
-    # the middle row collapses on its first sweep; the rows around it keep
-    # iterating to the end and still match their one-row results (d = 28
-    # is past the budget 3 * (8 + 1) = 27, so the basis iterates)
+    # the middle row's products vanish on its first sweep: QR still hands
+    # it an orthonormal basis, and it reads finite zeros, bit for bit what
+    # it reads alone.  The rows around it keep iterating to the end and
+    # still match their one-row results (d = 28 is past the budget
+    # 3 * (8 + 1) = 27, so the basis iterates)
     cfg = SpectralConfig(top_k=3, n_iters=8, early_stop_tol=0.0)
     x_ts = np.zeros((5, 28))
     x_ts[2] = 9.0
     x_ts[[0, 1, 3, 4]] += np.random.default_rng(4).standard_normal((4, 28))
     rngs = [RngStream(2, (r,)) for r in range(5)]
     out = subspace_iteration_batch(MostlyFine(28), x_ts, 0.5, cfg, rngs)
-    assert isinstance(out[2], RankDeficientError)
-    assert out[2].indices == (2,)
-    with pytest.raises(RankDeficientError):
-        subspace_iteration(MostlyFine(28), x_ts[2], 0.5, cfg, rng=rngs[2])
-    for r in (0, 1, 3, 4):
+    assert_collapsed(out[2], 3)
+    for r in range(5):
         assert out[r].n_iters == 8
         assert_same_result(out[r], subspace_iteration(MostlyFine(28), x_ts[r], 0.5, cfg, rng=rngs[r]))
+    assert np.all(out[0].eigenvalues > 0.0)
 
 
 def test_batch_all_rows_rank_deficient():
-    # k(n_iters + 1) = 6 < d = 8: a full basis takes no QR, so it cannot collapse
-    cfg = SpectralConfig(top_k=1, n_iters=5, early_stop_tol=0.0)
-    out = subspace_iteration_batch(
-        MostlyFine(8), np.full((3, 8), 9.0), 0.5, cfg, [RngStream(1, (r,)) for r in range(3)]
-    )
-    assert all(isinstance(o, RankDeficientError) for o in out)
+    # k(n_iters + 1) = 6 < d = 8, so the basis iterates; every row collapses
+    # and reads zeros, as it does alone.  With an early stop the zeros stop
+    # on the second sweep, since no Ritz value moved
+    for tol, sweeps in ((0.0, 5), (1e-4, 1)):
+        cfg = SpectralConfig(top_k=1, n_iters=5, early_stop_tol=tol)
+        x_ts = np.full((3, 8), 9.0)
+        x_ts[1] += 0.1
+        rngs = [RngStream(1, (r,)) for r in range(3)]
+        out = subspace_iteration_batch(MostlyFine(8), x_ts, 0.5, cfg, rngs)
+        for r, res in enumerate(out):
+            assert_collapsed(res, 1)
+            assert res.n_iters == sweeps
+            assert_same_result(res, subspace_iteration(MostlyFine(8), x_ts[r], 0.5, cfg, rng=rngs[r]))
+
+
+def rank_two_mixture(d, m, seed):
+    """m components, each with a rank-2 covariance: where one component
+    dominates, the posterior covariance has rank 2."""
+    gen = np.random.default_rng(seed)
+    factors = gen.standard_normal((m, d, 2))
+    covs = factors @ np.swapaxes(factors, 1, 2)
+    return GaussianMixture(np.full(m, 1.0 / m), 2.0 * gen.standard_normal((m, d)), covs)
+
+
+@pytest.mark.parametrize("sigma", [0.1, 1.0])
+def test_rank_two_posterior_matches_analytic(sigma):
+    # top_k 4 against a rank-2 posterior: the block products lose rank, so
+    # the subspace is invariant and the last two eigenvalues are about 0.
+    # Every row still matches the closed form (d = 100 iterates at 4 * 16)
+    model = rank_two_mixture(100, 3, seed=0)
+    gen = np.random.default_rng(3)
+    x_ts = model.sample(RngStream(3, (0,)), 12) + sigma * gen.standard_normal((12, 100))
+    rngs = [RngStream(3, (r,)) for r in range(12)]
+    cfg = SpectralConfig(top_k=4, n_iters=15, early_stop_tol=0.0)
+    out = subspace_iteration_batch(model, x_ts, sigma, cfg, rngs)
+    for x_t, res in zip(x_ts, out):
+        want = analytic_spectrum(model, x_t, sigma, top_k=4).eigenvalues
+        assert want[2] < 1e-10 * want[0]
+        np.testing.assert_allclose(res.eigenvalues, want, rtol=1e-6, atol=1e-6 * want[0])
+
+
+def scaled_mixture(scale):
+    """A full-rank d = 40 mixture with its means scaled by sqrt(scale) and
+    its covariances by scale."""
+    g = random_mixture(40, 3, seed=1)
+    return GaussianMixture(g.weights, np.sqrt(scale) * g.means, scale * g.covariances)
+
+
+def test_tiny_posterior_is_estimated_to_scale():
+    # at covariance scale 1e-12, sigma^2 J is about 1e-11: far below any
+    # absolute rank threshold, yet an answer as good as at scale 1 for the
+    # same points scaled alike (d = 40 iterates at 2 * 16)
+    cfg = SpectralConfig(top_k=2)
+    unit = np.random.default_rng(5).standard_normal((12, 40))
+    rngs = [RngStream(3, (r,)) for r in range(12)]
+    worst = []
+    for scale in (1.0, 1e-12):
+        model, x_ts = scaled_mixture(scale), np.sqrt(scale) * unit
+        out = subspace_iteration_batch(model, x_ts, 1.0, cfg, rngs)
+        errs = []
+        for x_t, res in zip(x_ts, out):
+            want = analytic_spectrum(model, x_t, 1.0, top_k=2).eigenvalues
+            errs.append(np.max(np.abs(res.eigenvalues - want) / want))
+        worst.append(max(errs))
+    assert worst[1] <= worst[0]
+
+
+def test_step_below_float_resolution_is_bad_range():
+    # at x_t = 1e12 and sigma 1e-3 the step fd_rel * sigma = 1e-6 is below
+    # x_t's float spacing (1.2e-4): x_t +- c v round to x_t, and every
+    # product would read exactly 0.  The full basis (d = 2) and the iterated
+    # path (d = 17 past the budget 16) both refuse, naming the row
+    for d, top_k in ((2, 3), (17, 1)):
+        model = GaussianMixture.single(np.zeros(d), np.eye(d))
+        x_ts = np.ones((3, d))
+        x_ts[1] = 1e12
+        rngs = [RngStream(0, (r,)) for r in range(3)]
+        with pytest.raises(BadRangeError, match="row 1: finite-difference step"):
+            subspace_iteration_batch(model, x_ts, 1e-3, SpectralConfig(top_k=top_k), rngs)
+        with pytest.raises(BadRangeError, match="float resolution"):
+            subspace_iteration(model, x_ts[1], 1e-3, SpectralConfig(top_k=top_k), rngs[1])
+    # jvp refuses a step below 1e-10 max|x_t| and takes one at it
+    lin = LinearDenoiser(np.eye(2))
+    with pytest.raises(BadRangeError, match="float resolution"):
+        jvp(lin, np.array([1e12, 1.0]), 1e-3, np.ones(2), c=1e-6)
+    with pytest.raises(BadRangeError):
+        jvp(lin, np.array([-1e6, 0.0]), 1.0, np.ones(2), c=0.99e-4)
+    np.testing.assert_allclose(jvp(lin, np.array([-1e6, 0.0]), 1.0, np.ones(2), c=1e-4), 1.0, rtol=1e-5)
 
 
 class Recording:
@@ -336,9 +427,9 @@ class Recording:
 
 def test_mixed_sigma_rows_match_single_sigma_calls():
     # rows at three noise levels, interleaved in runs of one to three rows,
-    # two of them rank-deficient: every row equals its own one-row call, and
-    # its own single-sigma batch (d = 34 is past the budget 3 * (10 + 1) = 33,
-    # so the basis iterates)
+    # two of them collapsed to zeros: every row equals its own one-row call,
+    # and its own single-sigma batch (d = 34 is past the budget
+    # 3 * (10 + 1) = 33, so the basis iterates)
     cfg = SpectralConfig(top_k=3, n_iters=10, early_stop_tol=1e-4)
     sig = np.array([0.5, 0.5, 1.3, 0.8, 0.8, 0.8, 0.5, 1.3, 1.3, 0.5])
     x_ts = np.random.default_rng(8).standard_normal((sig.size, 34))
@@ -346,20 +437,16 @@ def test_mixed_sigma_rows_match_single_sigma_calls():
     rngs = [RngStream(4, (r,)) for r in range(sig.size)]
     model = MostlyFine(34)
     batch = subspace_iteration_batch(model, x_ts, sig, cfg, rngs)
+    for r in (4, 7):
+        assert_collapsed(batch[r], 3)
     for r in range(sig.size):
-        if r in (4, 7):
-            assert isinstance(batch[r], RankDeficientError) and batch[r].indices == (r,)
-            with pytest.raises(RankDeficientError):
-                subspace_iteration(model, x_ts[r], sig[r], cfg, rng=rngs[r])
-            continue
         assert batch[r].sigma == sig[r]
         assert_same_result(batch[r], subspace_iteration(model, x_ts[r], sig[r], cfg, rng=rngs[r]))
     for s in (0.5, 0.8, 1.3):
         rows = np.flatnonzero(sig == s)
         alone = subspace_iteration_batch(model, x_ts[rows], s, cfg, [rngs[r] for r in rows])
         for r, res in zip(rows, alone):
-            if not isinstance(res, RankDeficientError):
-                assert_same_result(batch[r], res)
+            assert_same_result(batch[r], res)
     # three runs of 0.5 means three calls per sweep at that level
     many = Recording(model)
     subspace_iteration_batch(many, x_ts, sig, SpectralConfig(top_k=3, n_iters=1), rngs)
