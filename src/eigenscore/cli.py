@@ -149,7 +149,7 @@ def cmd_fit(args) -> int:
         feats,
         aggregation=fcfg.aggregation,
         metric=metric,
-        config_hash=config_hash(_model_desc(model), schedule, fcfg, metric, model.dim),
+        config_hash=config_hash(_model_desc(model), schedule, fcfg, metric),
         timesteps=fcfg.timesteps,
     )
     atomic_write_text(args.out, json.dumps(calib.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -164,7 +164,7 @@ def cmd_score(args) -> int:
             f"--export-components needs an eigenscore calibration, got {calib.metric}"
         )
     model, schedule, fcfg, seed = _load_inputs(args)
-    expected_hash = config_hash(_model_desc(model), schedule, fcfg, calib.metric, model.dim)
+    expected_hash = config_hash(_model_desc(model), schedule, fcfg, calib.metric)
     if calib.config_hash and calib.config_hash != expected_hash:
         log.warning(
             "calibration was fit under a different configuration "

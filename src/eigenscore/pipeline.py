@@ -114,14 +114,24 @@ class Calibration:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Calibration":
-        """Calibration from its document; an unknown metric, or mu and sigma
-        that would give nan or finite-looking wrong scores, are a ConfigError
-        naming the field."""
+        """Calibration from its document; an unknown metric, a layout other
+        than the one its metric, timesteps and aggregation give, or mu and
+        sigma that would give nan or finite-looking wrong scores, are a
+        ConfigError naming the field."""
         if d["metric"] not in METRICS:
             raise ConfigError(
                 f"calibration invalid at metric: {d['metric']!r} is not one of {METRICS}"
             )
         layout = tuple((int(t), int(s)) for t, s in d["layout"])
+        timesteps = tuple(int(t) for t in d["timesteps"])
+        want = _layout(timesteps, d["aggregation"], max(1, len(layout) // max(1, len(timesteps))))
+        if d["metric"] in BASELINES:
+            want = ((0, 1),) if d["aggregation"] == "mean" else None
+        if layout != want:
+            raise ConfigError(
+                f"calibration invalid at layout: its {len(layout)} entries are not those of "
+                f"{d['metric']} over timesteps {list(timesteps)} with {d['aggregation']!r} aggregation"
+            )
         fields = {}
         for name in ("mu", "sigma"):
             try:
@@ -140,7 +150,7 @@ class Calibration:
                     raise ConfigError(f"calibration invalid at {name}/{i}: {v} must be {rule}")
         return cls(
             metric=d["metric"],
-            timesteps=tuple(int(t) for t in d["timesteps"]),
+            timesteps=timesteps,
             aggregation=d["aggregation"],
             mu=fields["mu"],
             sigma=fields["sigma"],
@@ -157,21 +167,15 @@ class ScoreRecord:
     z: np.ndarray
 
 
-def config_hash(
-    model_desc, schedule: NoiseSchedule, config: FeatureConfig, metric: str, dim: int
-) -> str:
+def config_hash(model_desc, schedule: NoiseSchedule, config: FeatureConfig, metric: str) -> str:
     """Stable short hash of everything that shapes a feature vector.
 
-    The spectral estimator is named for the path the eigenscore probe takes
-    at data dimension dim: "rayleigh-ritz" where it draws and iterates, or
-    where top_k >= dim, and another name where top_k < dim but the probe
-    takes the full basis (`spectral.full_basis`), whose features differ from
-    the iterated ones that hash once stood for.  Baseline metrics keep the
-    first name, since no probe shapes their features.
+    The spectral section names the estimator, so eigenscore calibrations
+    fitted by an earlier estimator no longer match.  Baseline metrics keep
+    the name their calibrations were fitted under, since no probe shapes
+    their features.
     """
-    estimator = "rayleigh-ritz"
-    if metric == "eigenscore" and config.top_k < dim and full_basis(config.spectral, dim):
-        estimator = "rayleigh-ritz, full basis"
+    estimator = "rayleigh-ritz" if metric in BASELINES else "ritz values of sym(J)"
     doc = {
         "model": model_desc,
         "schedule": schedule.to_dict(),
@@ -242,16 +246,20 @@ def eigen_feature(
     return replace(feature, components=components)
 
 
+def _layout(timesteps, aggregation, n_reps) -> tuple[tuple[int, int], ...]:
+    """An eigenscore feature's (timestep, slot) pairs: slots 1..n_reps under all, else 1."""
+    slots = n_reps if aggregation == "all" else 1
+    return tuple((t, i + 1) for t in timesteps for i in range(slots))
+
+
 def _aggregate(raw, timesteps, aggregation, n_reps, sample_id) -> EigenFeature:
     if aggregation == "mean":
         values = raw.mean(axis=1)
-        layout = tuple((t, 1) for t in timesteps)
     elif aggregation == "median":
         values = np.median(raw, axis=1)
-        layout = tuple((t, 1) for t in timesteps)
     else:
         values = raw.reshape(-1)
-        layout = tuple((t, i + 1) for t in timesteps for i in range(n_reps))
+    layout = _layout(timesteps, aggregation, n_reps)
     return EigenFeature(sample_id=sample_id, values=values, layout=layout)
 
 

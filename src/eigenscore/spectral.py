@@ -87,9 +87,9 @@ class SpectralConfig:
 class SpectralResult:
     """Eigenvalue estimates of sigma^2 * (denoiser Jacobian) at one point.
 
-    `eigenvalues` are descending and clamped to be non-negative;
-    `raw_eigenvalues` keep the signed estimates in the same order, and
-    `eigenvectors` (d, k) the matching Ritz vectors v_j.  `residual` is
+    `raw_eigenvalues` are signed and descending (for the probe, sigma^2 times
+    Ritz values of sym(J)), `eigenvalues` the same clamped at 0, and
+    `eigenvectors` (d, k) the matching vectors v_j.  `residual` is
     max_j ||sigma^2 J v_j - lambda_j v_j|| over max_j |lambda_j| (0 for the
     dense oracles), `n_iters` the re-orthonormalizations performed,
     `n_evals` the denoiser evaluations, 2k(n_iters + 1) for the subspace
@@ -147,11 +147,6 @@ def _eval_batch(fn, points: np.ndarray, sigma: float) -> np.ndarray:
             f"denoiser returned non-finite values at sigma={sigma}"
         )
     return out
-
-
-def _col_norms(a: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(a, axis=1) of a real stack, by numpy's own arithmetic."""
-    return np.sqrt(np.add.reduce(a * a, axis=1))
 
 
 def _check_fd_step(c: float, sigma: float) -> None:
@@ -254,14 +249,14 @@ def subspace_iteration_batch(
     sweep before, or after n_iters re-orthonormalizations.  When P loses
     rank, Q has found an invariant subspace: qr(P) still gives orthonormal
     columns whose span holds P's, and the eigenvalues missing from P read
-    about 0.  A row's last sweep
-    then rotates to the Ritz vectors y = Q u of its k largest Ritz values
-    (u from eigh(H)), whose products J y = P u it already holds: eigenvalue
-    magnitude sigma_r^2 * ||J y||, sign from y^T J y (analytic posteriors
-    are PSD, learned models occasionally are not), sorted by signed value;
-    negatives are clamped in `eigenvalues` and kept in `raw_eigenvalues`.
-    An iterated row costs 2 * k * (n_iters + 1) denoiser evaluations and
-    converges to the k eigenvalues of largest magnitude.  The identity
+    about 0.  A row's last sweep reports sigma_r^2 times its k largest Ritz
+    values, descending, with their Ritz vectors y = Q u (u from eigh(H));
+    the residual takes J y = P u from the products it already holds.  These
+    are eigenvalues of the symmetric posterior covariance sigma_r^2 sym(J)
+    on the basis, whatever J's asymmetry; a learned model's may be
+    negative, clamped in `eigenvalues` and kept in `raw_eigenvalues`.  An
+    iterated row costs 2 * k * (n_iters + 1) denoiser evaluations, and its
+    basis converges to the k eigenvalues of largest magnitude.  The identity
     spans the whole space, so on the full basis Rayleigh-Ritz is exact
     after one product and its k largest Ritz values are the k largest
     signed eigenvalues of sym(J): every row stops there with n_iters 0 and
@@ -340,7 +335,7 @@ def subspace_iteration_batch(
         cols = np.broadcast_to(np.eye(d), (n_rows, d, d))
     else:
         # row r's column j is drawn from rngs[r].child(j)
-        draws = gaussian_vec([rng.child(j) for rng in rngs for j in range(k)], d, np.repeat(sigmas, k))
+        draws = gaussian_vec([rng.child(j) for rng in rngs for j in range(k)], d, 1.0)
         mat = np.ascontiguousarray(draws.reshape(n_rows, k, d).transpose(0, 2, 1))
     # the active rows are their original indices, points and the matrices
     # whose QR is the next basis
@@ -380,14 +375,10 @@ def subspace_iteration_batch(
             vecs = np.matmul(cols[stop], u)
             jv = np.matmul(products[stop], u)
             s2r = s2[act[stop]][:, None]
-            mag = s2r * _col_norms(jv)
-            raw = np.where(theta < 0.0, -mag, mag)
-            top = np.maximum(np.maximum.reduce(mag, axis=1), 1e-300)
-            resid = np.maximum.reduce(_col_norms(s2r[:, None] * jv - raw[:, None, :] * vecs), axis=1) / top
-            order = np.argsort(raw, axis=1)[:, ::-1]
-            raw = np.take_along_axis(raw, order, axis=1)
+            raw = s2r * theta
+            top = np.maximum(np.maximum.reduce(np.abs(raw), axis=1), 1e-300)
+            resid = np.maximum.reduce(np.linalg.norm(s2r[:, None] * jv - raw[:, None, :] * vecs, axis=1), axis=1) / top
             vals = np.clip(raw, 0.0, None)
-            vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
             for i, r in enumerate(act[done].tolist()):
                 outcome[r] = SpectralResult(
                     eigenvalues=vals[i],
@@ -408,7 +399,7 @@ def subspace_iteration_batch(
 
 
 def _top_eigh(h: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k largest eigenvalues (ascending) of each symmetric matrix in the
+    """The k largest eigenvalues (descending) of each symmetric matrix in the
     (n, m, m) stack h, and their eigenvectors (n, m, k), from eigh on blocks
     of at most EIGH_BLOCK_BYTES of eigenvectors."""
     n, m, _ = h.shape
@@ -416,7 +407,7 @@ def _top_eigh(h: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     step = max(1, EIGH_BLOCK_BYTES // (8 * m * m))
     for i in range(0, n, step):
         t, v = np.linalg.eigh(h[i : i + step])
-        theta[i : i + step], u[i : i + step] = t[:, -k:], v[:, :, -k:]
+        theta[i : i + step], u[i : i + step] = t[:, : -k - 1 : -1], v[:, :, : -k - 1 : -1]
     return theta, u
 
 

@@ -278,6 +278,42 @@ def test_unknown_calibration_metric_fails_before_model_loads(cfg_path, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "metric, fitted, edit",
+    [
+        (None, "all", {"aggregation": "mean"}),
+        (None, "mean", {"aggregation": "all", "layout": [[3, 1], [3, 2], [7, 1]]}),
+        (None, "mean", {"timesteps": [518]}),
+        (None, "mean", {"layout": [[7, 1], [3, 1]]}),
+        ("mse", "mean", {"aggregation": "median"}),
+        ("mse", "mean", {"layout": [[3, 1]]}),
+    ],
+    ids=[
+        "eigenscore-all-to-mean", "eigenscore-unequal-slots", "eigenscore-timesteps", "eigenscore-order",
+        "mse-aggregation", "mse-layout",
+    ],
+)
+def test_calibration_layout_checked_before_model_loads(tmp_path, capsys, metric, fitted, edit):
+    # a fitted calibration whose layout its own metric, timesteps and
+    # aggregation do not give is a bad calibration (exit 2), not a layout
+    # mismatch found after every feature was computed
+    cfg = make_cfg(tmp_path, name="fitted.json", feature={"aggregation": fitted})
+    data, calib, _ = run_flow(cfg, tmp_path, metric=metric)
+    doc = json.loads((tmp_path / "calib.json").read_text())
+    doc.update(edit)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    # the checkpoint does not exist, so loading the model would exit 3
+    missing = tmp_path / "missing.json"
+    model = {"kind": "mlp", "checkpoint": str(tmp_path / "none.bin")}
+    missing.write_text(json.dumps({**BASE_CFG, "model": model}))
+    out = tmp_path / "x.csv"
+    args = ["score", "--config", str(missing), "--data", data, "--out", str(out)]
+    assert main(args + ["--calibration", str(bad)]) == 2
+    assert "calibration invalid at layout" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_sigma_calibration_is_accepted(cfg_path, tmp_path):
     # a constant coordinate has sigma 0; SIGMA_FLOOR handles it
     data, calib, _ = run_flow(cfg_path, tmp_path)
@@ -360,17 +396,20 @@ def test_calibration_of_the_column_norm_estimator_warns(cfg_path, tmp_path, capl
     "top_k, metric, old_hash, warns",
     [
         (1, None, "c228308962318a78", True),
-        (2, None, "679e52bb7eb0784e", False),
+        (2, None, "679e52bb7eb0784e", True),
         (2, "mse", "47419194da78cf71", False),
         (1, "mse", "2ae787a12559d5ae", False),
+        (1, None, "08f9e20ed9c8302b", True),
     ],
-    ids=["covered", "top_k-is-d", "mse", "mse-covered"],
+    ids=["covered", "top_k-is-d", "mse", "mse-covered", "norm-estimate"],
 )
 def test_calibration_of_the_capped_iteration_warns(tmp_path, caplog, top_k, metric, old_hash, warns):
-    # these hashes are what calibrations fitted while rows with top_k < d
-    # always iterated carry.  BASE_CFG at top_k 1 now takes the full basis,
-    # so its features moved and the calibration must warn; at top_k = d = 2,
-    # and for a baseline metric, the features did not move and must not warn
+    # the first four hashes are what calibrations fitted while rows with
+    # top_k < d always iterated carry, the last what one fitted on the full
+    # basis while eigenvalues were sigma^2 ||J y|| carries.  Every eigenscore
+    # feature has moved since (to the full basis at top_k 1, to sigma^2 times
+    # the Ritz values at both), so those calibrations must warn; a
+    # baseline's features did not move and must not warn
     cfg = make_cfg(tmp_path, name="capped.json", feature={"top_k": top_k})
     data, calib, _ = run_flow(cfg, tmp_path, metric=metric)
     doc = json.loads((tmp_path / "calib.json").read_text())

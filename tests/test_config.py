@@ -22,7 +22,7 @@ from eigenscore.config import (
 from eigenscore.errors import ConfigError
 from eigenscore.gmm import GaussianMixture
 from eigenscore.mlp import MlpDenoiser, TrainConfig
-from eigenscore.pipeline import Calibration
+from eigenscore.pipeline import BASELINES, Calibration
 
 
 def write_json(tmp_path, name, doc):
@@ -392,10 +392,20 @@ def mutated_calibration(draw):
     doc = dict(calibration_doc(), config_hash="deadbeef")
     for _ in range(draw(st.integers(1, 3))):
         key = draw(st.sampled_from(sorted(CALIBRATION_VALUES)))
-        op = draw(st.sampled_from(["set", "set-entry", "append", "truncate", "delete"]))
+        op = draw(st.sampled_from(["set", "set-entry", "append", "truncate", "delete", "relayout"]))
         held = doc.get(key)
         entry = st.one_of(JSON_LEAF, CALIBRATION_ENTRIES.get(key, JSON_LEAF))
-        if op == "delete":
+        if op == "relayout":
+            # a shuffled layout of equal slots per timestep, over timesteps
+            # the document may or may not list, with mu and sigma to match,
+            # so that the layout check decides
+            ts = draw(st.lists(st.integers(0, 3), max_size=3))
+            slots = draw(st.integers(1, 3))
+            doc["layout"] = draw(st.permutations([[t, i + 1] for t in ts for i in range(slots)]))
+            doc["mu"], doc["sigma"] = [0.0] * len(doc["layout"]), [1.0] * len(doc["layout"])
+            if draw(st.booleans()):
+                doc["timesteps"] = ts
+        elif op == "delete":
             doc.pop(key, None)
         elif isinstance(held, list) and op == "set-entry" and held:
             held[draw(st.integers(0, len(held) - 1))] = draw(entry)
@@ -425,3 +435,9 @@ def test_accepted_calibration_docs_load_or_raise_config_error(tmp_path_factory, 
         return
     assert len(calib.mu) == len(calib.sigma) == len(calib.layout)
     assert np.all(np.isfinite(calib.mu)) and np.all(calib.sigma >= 0.0)
+    # and what loads has the layout its metric, timesteps and aggregation give
+    if calib.metric in BASELINES:
+        assert (calib.layout, calib.aggregation) == (((0, 1),), "mean")
+    else:
+        slots = len(calib.layout) // max(1, len(calib.timesteps)) if calib.aggregation == "all" else 1
+        assert calib.layout == tuple((t, i + 1) for t in calib.timesteps for i in range(max(1, slots)))

@@ -348,13 +348,13 @@ def random_mixture(d, m, seed):
 @pytest.mark.parametrize(
     "kind, aggregation, top_k, n_iters, want",
     [
-        ("paper2d", "mean", 3, 15, "41e3891522041de470797961ea1d601702170f3d553ce0602c69459361254219"),
-        ("paper2d", "all", 2, 15, "40a68b1bf2e1ec60dfc82030f4e37881f750df6ef64796879e698b2693c45a70"),
-        ("mixture24", "mean", 5, 15, "2aeb7a697c5c9552abaf25fa9dea2bc764ef9dadc952abc3d431db9494efe212"),
-        ("mixture24", "all", 3, 15, "b74bdae38beca4d6111225cf4455478f5040ad2f468606c0b14c612f3efa5164"),
-        ("mlp8", "mean", 3, 15, "52714c3dfef78370f5c227c01ea7f4dc195faa7b66afbfcc75ed7d35aff7385c"),
-        ("mlp8", "all", 5, 15, "4b5bf94dcdc16a160bd8f0b66df19081eada667b174effb12cb43687ac134039"),
-        ("mixture24", "mean", 5, 3, "01aed9cea2f9d5e89e112ff2942aec8a7cb1f6d35101dc601c67940f4f13b740"),
+        ("paper2d", "mean", 3, 15, "bebd1bcbd3d2d2b3b132b870c47e8504a9f579afc752f7bd9a46f5a5dd6a2726"),
+        ("paper2d", "all", 2, 15, "08a29039d59445aef1c8595947c802c409d7764d5cc2ac3b4165846c32489533"),
+        ("mixture24", "mean", 5, 15, "04f5d6de1777d452d1793ef83f1a483db6f26702b61707241c6edc5552e47d4c"),
+        ("mixture24", "all", 3, 15, "836043faf7054351bb1b12115dd859700f6273a36ec5e519d39606ad845aa883"),
+        ("mlp8", "mean", 3, 15, "28ddd7184b8b34098e9ba75377efc0bef6a3c5a29991468c1a73d3aea466f37d"),
+        ("mlp8", "all", 5, 15, "d445ff7a48fcb33eb0f44f7dd059b49af5c086c086d23e75884b2fbf59977552"),
+        ("mixture24", "mean", 5, 3, "869f682640aa922204f33a5d7ad6d91933e4bfc39979ad145838156d08ab3e08"),
     ],
     # ids without the digest, so a re-recorded digest keeps the test's name
     ids=[
@@ -364,7 +364,7 @@ def random_mixture(d, m, seed):
 )
 def test_multi_timestep_features_pinned(kind, aggregation, top_k, n_iters, want):
     # sha256 of eigen_feature values and components over five timesteps,
-    # recorded from the Rayleigh-Ritz estimator; any change
+    # recorded from the Ritz-value estimator; any change
     # to a row's arithmetic or to the points a denoiser call receives shows
     # here (x86-64, OpenBLAS).  With 15 sweeps every case covers its d and
     # takes the full basis; the last one (5 * 4 < 24) iterates
@@ -662,27 +662,24 @@ def test_nll_score_needs_analytic_model():
 def test_config_hash_stable_and_sensitive():
     sched = small_schedule()
     cfg = FeatureConfig(timesteps=(3, 7), top_k=2, n_reps=4)
-    a = config_hash({"kind": "gmm"}, sched, cfg, "eigenscore", 2)
-    b = config_hash({"kind": "gmm"}, sched, cfg, "eigenscore", 2)
+    a = config_hash({"kind": "gmm"}, sched, cfg, "eigenscore")
+    b = config_hash({"kind": "gmm"}, sched, cfg, "eigenscore")
     assert a == b and len(a) == 16
-    c = config_hash({"kind": "gmm"}, sched, FeatureConfig(timesteps=(3, 7), top_k=3), "eigenscore", 2)
+    c = config_hash({"kind": "gmm"}, sched, FeatureConfig(timesteps=(3, 7), top_k=3), "eigenscore")
     assert c != a
-    d = config_hash({"kind": "gmm"}, sched, cfg, "mse", 2)
+    d = config_hash({"kind": "gmm"}, sched, cfg, "mse")
     assert d != a
 
 
-def test_config_hash_names_the_full_basis_only_where_features_moved():
-    # the estimator's name changes only for eigenscore rows with top_k < d
-    # that take the full basis; elsewhere the hash is the one calibrations
-    # fitted when every top_k < d row iterated carry
+def test_config_hash_names_the_ritz_estimator_and_keeps_baseline_hashes():
+    # eigenscore features moved to sigma^2 times the Ritz values, so their
+    # hash moved from the one earlier calibrations carry (fd19ed518f6fae72
+    # for this configuration); a baseline's features did not, and its hash
+    # is the one its calibrations were fitted under
     sched = small_schedule()
     cfg = FeatureConfig(timesteps=(3, 7), top_k=2, n_reps=4)
-    assert config_hash({"kind": "gmm"}, sched, cfg, "eigenscore", 2) == "fd19ed518f6fae72"
-    for dim in (2, 8, 100):
-        assert config_hash({"kind": "gmm"}, sched, cfg, "mse", dim) == "5fadc0a1441d74a4"
-    # top_k 2 with 15 sweeps covers d = 8 but not d = 100
-    assert config_hash({"kind": "gmm"}, sched, cfg, "eigenscore", 100) == "fd19ed518f6fae72"
-    assert config_hash({"kind": "gmm"}, sched, cfg, "eigenscore", 8) != "fd19ed518f6fae72"
+    assert config_hash({"kind": "gmm"}, sched, cfg, "eigenscore") == "2fa64aa94d34083d"
+    assert config_hash({"kind": "gmm"}, sched, cfg, "mse") == "5fadc0a1441d74a4"
 
 
 def test_calibration_round_trips_through_dict():
