@@ -196,9 +196,11 @@ class GaussianMixture:
             return hit
         s2 = key * key
         lifted = self._evals + s2  # (m, d), strictly positive
-        inv = np.einsum("mij,mj,mkj->mik", self._evecs, 1.0 / lifted, self._evecs)
+        # V diag(s) V^T as one stacked GEMM: the 3-operand einsum is ~9x slower at d=64
+        evecs, evecs_t = self._evecs, self._evecs.transpose(0, 2, 1)
+        inv = np.matmul(evecs * (1.0 / lifted)[:, None, :], evecs_t)
         inv_t = np.ascontiguousarray(inv.transpose(0, 2, 1))
-        gain = np.einsum("mij,mj,mkj->mik", self._evecs, self._evals / lifted, self._evecs)
+        gain = np.matmul(evecs * (self._evals / lifted)[:, None, :], evecs_t)
         postcov = s2 * gain
         lognorm = (
             np.log(self.weights)

@@ -350,11 +350,11 @@ def random_mixture(d, m, seed):
     [
         ("paper2d", "mean", 3, 15, "bebd1bcbd3d2d2b3b132b870c47e8504a9f579afc752f7bd9a46f5a5dd6a2726"),
         ("paper2d", "all", 2, 15, "08a29039d59445aef1c8595947c802c409d7764d5cc2ac3b4165846c32489533"),
-        ("mixture24", "mean", 5, 15, "04f5d6de1777d452d1793ef83f1a483db6f26702b61707241c6edc5552e47d4c"),
-        ("mixture24", "all", 3, 15, "836043faf7054351bb1b12115dd859700f6273a36ec5e519d39606ad845aa883"),
+        ("mixture24", "mean", 5, 15, "43305c64993a2fbf6628de40022de5aa9454d30d682679055858bfc2ec3a0de5"),
+        ("mixture24", "all", 3, 15, "2aa04746dc2a6015c2e1d73b2c6ccd139a7e4145601bf47f4328eb67a63ebec3"),
         ("mlp8", "mean", 3, 15, "28ddd7184b8b34098e9ba75377efc0bef6a3c5a29991468c1a73d3aea466f37d"),
         ("mlp8", "all", 5, 15, "d445ff7a48fcb33eb0f44f7dd059b49af5c086c086d23e75884b2fbf59977552"),
-        ("mixture24", "mean", 5, 3, "869f682640aa922204f33a5d7ad6d91933e4bfc39979ad145838156d08ab3e08"),
+        ("mixture24", "mean", 5, 3, "52053802249a83aac96f1b7bb968a5f22e6550a9d0862cf9988ca659ed9ac912"),
     ],
     # ids without the digest, so a re-recorded digest keeps the test's name
     ids=[
