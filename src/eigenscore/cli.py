@@ -34,6 +34,7 @@ from .pipeline import (
     BASELINES,
     METRICS,
     Calibration,
+    _layout,
     config_hash,
     eigen_score,
     extract_features,
@@ -164,6 +165,14 @@ def cmd_score(args) -> int:
             f"--export-components needs an eigenscore calibration, got {calib.metric}"
         )
     model, schedule, fcfg, seed = _load_inputs(args)
+    # the calibration does not record n_reps, so only the config can tell a
+    # mean or median layout from that of "all" with one repetition
+    if calib.metric not in BASELINES and calib.layout != _layout(calib.timesteps, calib.aggregation, fcfg.n_reps):
+        raise ConfigError(
+            f"calibration invalid at layout: its {len(calib.layout)} entries are not those of "
+            f"{calib.aggregation!r} aggregation over timesteps {list(calib.timesteps)} "
+            f"with the config's n_reps {fcfg.n_reps}"
+        )
     expected_hash = config_hash(_model_desc(model), schedule, fcfg, calib.metric)
     if calib.config_hash and calib.config_hash != expected_hash:
         log.warning(

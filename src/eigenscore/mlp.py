@@ -108,9 +108,11 @@ class MlpDenoiser:
         h = feats
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.T + b
+            # bias and tanh in place: one new array per layer, not three
+            h = h @ w.T
+            h += b
             if i < last:
-                h = np.tanh(h)
+                np.tanh(h, out=h)
             acts.append(h)
         return h, acts
 

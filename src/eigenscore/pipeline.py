@@ -222,7 +222,8 @@ def eigen_feature(
     Jacobian products lose rank reads the eigenvalues of the subspace it
     found, about 0 for the missing ones.  The feature also carries each
     timestep's leading eigenvector from repetition 0
-    (`EigenFeature.components`).
+    (`EigenFeature.components`), the only rows whose Ritz vectors the
+    probe computes.
     """
     x = np.asarray(x, dtype=float)
     timesteps = validate_timesteps(schedule, config.timesteps)
@@ -236,8 +237,10 @@ def eigen_feature(
     rngs = None
     if not full_basis(config.spectral, x.shape[0]):
         rngs = [RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL)) for t in timesteps for rep in reps]
+    # components read only repetition 0's vectors, so only those rows ask for them
+    first = np.arange(x_ts.shape[0]) % n_reps == 0
     all_results = subspace_iteration_batch(
-        denoiser, x_ts, np.repeat(sigmas, n_reps), config.spectral, rngs
+        denoiser, x_ts, np.repeat(sigmas, n_reps), config.spectral, rngs, vectors=first
     )
     vals = np.array([r.eigenvalues for r in all_results])
     raw = np.add.reduce(vals, axis=1).reshape(len(timesteps), n_reps)

@@ -36,9 +36,11 @@ from .rng import RngStream, gaussian_vec
 # this are a mistake, not a use case.
 MAX_DENSE_DIM = 4096
 
-# Bytes of eigenvectors one eigh call of the probe may return: rows that stop
-# on a full basis hold (rows, d, d) Ritz problems, factored in blocks of rows
-# this size, so the whole eigenvector stack never exists at once.
+# Bytes of eigenvectors one eigh call of the probe may return: the stopped
+# rows that ask for vectors on a full basis hold (rows, d, d) Ritz problems,
+# factored in blocks of rows this size, so the whole eigenvector stack never
+# exists at once.  Rows that ask only for values take eigvalsh, which returns
+# no vectors.
 EIGH_BLOCK_BYTES = 1 << 16
 
 # Where `full_basis` pays.  It costs 2d denoiser evaluations plus dense d x d
@@ -91,7 +93,9 @@ class SpectralResult:
     Ritz values of sym(J)), `eigenvalues` the same clamped at 0, and
     `eigenvectors` (d, k) the matching vectors v_j.  `residual` is
     max_j ||sigma^2 J v_j - lambda_j v_j|| over max_j |lambda_j| (0 for the
-    dense oracles), `n_iters` the re-orthonormalizations performed,
+    dense oracles).  `eigenvectors` and `residual` are None for a row that
+    `subspace_iteration_batch`'s `vectors` mask leaves out.  `n_iters` is
+    the re-orthonormalizations performed,
     `n_evals` the denoiser evaluations, 2k(n_iters + 1) for the subspace
     iteration (2d with n_iters 0 on the full basis), and `asymmetry`
     (dense oracle only) max |J - J^T|.
@@ -232,6 +236,7 @@ def subspace_iteration_batch(
     sigma: float | np.ndarray,
     config: SpectralConfig,
     rngs: list | None,
+    vectors: np.ndarray | None = None,
 ) -> list:
     """Estimate the top eigenpairs of sigma^2 * dD/dx at every row of x_ts.
 
@@ -250,8 +255,10 @@ def subspace_iteration_batch(
     rank, Q has found an invariant subspace: qr(P) still gives orthonormal
     columns whose span holds P's, and the eigenvalues missing from P read
     about 0.  A row's last sweep reports sigma_r^2 times its k largest Ritz
-    values, descending, with their Ritz vectors y = Q u (u from eigh(H));
-    the residual takes J y = P u from the products it already holds.  These
+    values, descending, from eigvalsh(H).  A row in the boolean mask
+    `vectors` (None: every row) also reports their Ritz vectors y = Q u
+    (u from eigh(H)) and the residual, which takes J y = P u from the
+    products it already holds; any other row reports None for both.  These
     are eigenvalues of the symmetric posterior covariance sigma_r^2 sym(J)
     on the basis, whatever J's asymmetry; a learned model's may be
     negative, clamped in `eigenvalues` and kept in `raw_eigenvalues`.  An
@@ -271,13 +278,15 @@ def subspace_iteration_batch(
     basis columns, so no call gets more than the run's rows x 2k points;
     one stacked QR (none on the full basis); the early-stop test, with a
     stacked k x k eigvalsh for the rows whose trace of H moved little
-    enough that they might stop.  Rows that stop take one stacked eigh and
-    leave the stack.
+    enough that they might stop.  Rows that stop take one stacked eigvalsh,
+    the masked ones among them a stacked eigh as well, and leave the stack.
 
     Contract: a row's result is bit-identical whatever other rows share its
-    batch, at whatever noise levels, in whatever order, and whatever thread
-    count runs it.  This holds for any denoiser whose output for a row does
-    not depend, bit for bit, on the other rows of the call.
+    batch, at whatever noise levels, in whatever order, whichever rows ask
+    for vectors, and whatever thread count runs it; its values do not
+    depend on whether it asks for vectors itself.  This holds for any
+    denoiser whose output for a row does not depend, bit for bit, on the
+    other rows of the call.
     `GaussianMixture` is one because its one stacked GEMM keeps operand
     layouts that depend on neither the row count nor the caller's layout
     (see `GaussianMixture._components`), and the engine always calls it with
@@ -311,6 +320,9 @@ def subspace_iteration_batch(
             raise DimMismatchError(f"{n_rows} points draw starting directions, but rngs is None")
     elif len(rngs) != n_rows:
         raise DimMismatchError(f"{n_rows} points but {len(rngs)} streams")
+    want = np.ones(n_rows, dtype=bool) if vectors is None else np.asarray(vectors)
+    if want.dtype != bool or want.shape != (n_rows,):
+        raise DimMismatchError(f"vectors must be a boolean mask of {n_rows} rows, got {want.dtype} {want.shape}")
     k = min(config.top_k, d)
     width = d if full else k
     fn = _as_denoise_fn(denoiser)
@@ -367,25 +379,35 @@ def subspace_iteration_batch(
                 close = np.abs(est - old) <= tol * np.maximum(np.abs(old), 1e-12 * top[:, None])
                 done[cand] = np.logical_and.reduce(close, axis=1)
         if done.any():
-            # stopped rows rotate to the Ritz vectors y = Q u of their k largest
-            # Ritz values, whose J y = P u.  When every row stops, as on the full
-            # basis, views stand in for the (rows, d, d) copies a mask would make
+            # stopped rows take their k largest Ritz values from eigvalsh; those
+            # that ask for vectors also rotate to the Ritz vectors y = Q u (u on
+            # the full basis, where Q = I), whose J y = P u.  When every row
+            # stops or asks, as on the full basis, views stand in for the
+            # (rows, d, d) copies a mask would make
             stop = slice(None) if done.all() else done
-            theta, u = _top_eigh(h[stop], k)
-            vecs = np.matmul(cols[stop], u)
-            jv = np.matmul(products[stop], u)
             s2r = s2[act[stop]][:, None]
-            raw = s2r * theta
-            top = np.maximum(np.maximum.reduce(np.abs(raw), axis=1), 1e-300)
-            resid = np.maximum.reduce(np.linalg.norm(s2r[:, None] * jv - raw[:, None, :] * vecs, axis=1), axis=1) / top
+            raw = s2r * np.linalg.eigvalsh(h[stop])[:, : -k - 1 : -1]
             vals = np.clip(raw, 0.0, None)
+            ask = done & want[act]
+            pairs = {}
+            if ask.any():
+                sel = slice(None) if ask.all() else ask
+                u = _top_eigh(h[sel], k)
+                vecs = u if full else np.matmul(cols[sel], u)
+                jv = np.matmul(products[sel], u)
+                sub = ask[done]
+                raw_a, s2a = raw[sub], s2r[sub]
+                top = np.maximum(np.maximum.reduce(np.abs(raw_a), axis=1), 1e-300)
+                resid = np.maximum.reduce(np.linalg.norm(s2a[:, None] * jv - raw_a[:, None, :] * vecs, axis=1), axis=1) / top
+                pairs = dict(zip(act[ask].tolist(), zip(vecs, resid.tolist())))
             for i, r in enumerate(act[done].tolist()):
+                vec, res = pairs.get(r, (None, None))
                 outcome[r] = SpectralResult(
                     eigenvalues=vals[i],
                     raw_eigenvalues=raw[i],
-                    eigenvectors=vecs[i],
+                    eigenvectors=vec,
                     sigma=levels[r],
-                    residual=float(resid[i]),
+                    residual=res,
                     n_iters=sweep,
                     n_evals=2 * width * (sweep + 1),
                 )
@@ -398,17 +420,16 @@ def subspace_iteration_batch(
     return outcome
 
 
-def _top_eigh(h: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k largest eigenvalues (descending) of each symmetric matrix in the
-    (n, m, m) stack h, and their eigenvectors (n, m, k), from eigh on blocks
-    of at most EIGH_BLOCK_BYTES of eigenvectors."""
+def _top_eigh(h: np.ndarray, k: int) -> np.ndarray:
+    """The eigenvectors (n, m, k) of the k largest eigenvalues, descending, of
+    each symmetric matrix in the (n, m, m) stack h, from eigh on blocks of at
+    most EIGH_BLOCK_BYTES of eigenvectors."""
     n, m, _ = h.shape
-    theta, u = np.empty((n, k)), np.empty((n, m, k))
+    u = np.empty((n, m, k))
     step = max(1, EIGH_BLOCK_BYTES // (8 * m * m))
     for i in range(0, n, step):
-        t, v = np.linalg.eigh(h[i : i + step])
-        theta[i : i + step], u[i : i + step] = t[:, : -k - 1 : -1], v[:, :, : -k - 1 : -1]
-    return theta, u
+        u[i : i + step] = np.linalg.eigh(h[i : i + step])[1][:, :, : -k - 1 : -1]
+    return u
 
 
 def subspace_iteration(

@@ -314,6 +314,28 @@ def test_calibration_layout_checked_before_model_loads(tmp_path, capsys, metric,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fitted", ["mean", "median"])
+def test_calibration_layout_checked_against_config_n_reps(cfg_path, tmp_path, capsys, fitted):
+    # a mean or median calibration edited to "all" has the layout of "all"
+    # with one repetition, so it loads; the config's n_reps (2) tells it
+    # apart before the data is read, where a missing --data would exit 3
+    cfg = make_cfg(tmp_path, name="fitted.json", feature={"aggregation": fitted})
+    run_flow(cfg, tmp_path)
+    doc = json.loads((tmp_path / "calib.json").read_text())
+    doc["aggregation"] = "all"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    missing = str(tmp_path / "none.bin")
+    args = ["score", "--config", cfg_path, "--data", missing, "--out", str(out)]
+    assert main(args + ["--calibration", str(tmp_path / "calib.json")]) == 3
+    capsys.readouterr()
+    assert main(args + ["--calibration", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "calibration invalid at layout" in err and "n_reps 2" in err
+    assert not out.exists()
+
+
 def test_zero_sigma_calibration_is_accepted(cfg_path, tmp_path):
     # a constant coordinate has sigma 0; SIGMA_FLOOR handles it
     data, calib, _ = run_flow(cfg_path, tmp_path)

@@ -350,11 +350,11 @@ def random_mixture(d, m, seed):
     [
         ("paper2d", "mean", 3, 15, "bebd1bcbd3d2d2b3b132b870c47e8504a9f579afc752f7bd9a46f5a5dd6a2726"),
         ("paper2d", "all", 2, 15, "08a29039d59445aef1c8595947c802c409d7764d5cc2ac3b4165846c32489533"),
-        ("mixture24", "mean", 5, 15, "43305c64993a2fbf6628de40022de5aa9454d30d682679055858bfc2ec3a0de5"),
-        ("mixture24", "all", 3, 15, "2aa04746dc2a6015c2e1d73b2c6ccd139a7e4145601bf47f4328eb67a63ebec3"),
-        ("mlp8", "mean", 3, 15, "28ddd7184b8b34098e9ba75377efc0bef6a3c5a29991468c1a73d3aea466f37d"),
-        ("mlp8", "all", 5, 15, "d445ff7a48fcb33eb0f44f7dd059b49af5c086c086d23e75884b2fbf59977552"),
-        ("mixture24", "mean", 5, 3, "52053802249a83aac96f1b7bb968a5f22e6550a9d0862cf9988ca659ed9ac912"),
+        ("mixture24", "mean", 5, 15, "2ea0583575808ebd8248084120742c20037c30ebc7a392a18f80d63a7207a8bc"),
+        ("mixture24", "all", 3, 15, "5f58c6fafb9e274f670bdbdc6c1277fd871db0253725205fd4dc78d7f41e0989"),
+        ("mlp8", "mean", 3, 15, "1a4632de5865c453def0f9849a138c74843dbf941778b22eadf44bc1ad1eb74a"),
+        ("mlp8", "all", 5, 15, "4f7cbf7c2cf61b35f4adfdc8922c09bfb2366519254f3b59cf1b62ae62a5af15"),
+        ("mixture24", "mean", 5, 3, "c2b850f02e705a28bfbbdcb46dd80d6e9f60245cf724b0304d96e7adff47f2f2"),
     ],
     # ids without the digest, so a re-recorded digest keeps the test's name
     ids=[
@@ -385,6 +385,32 @@ def test_multi_timestep_features_pinned(kind, aggregation, top_k, n_iters, want)
         digest.update(feat.values.tobytes())
         digest.update(feat.components.tobytes())
     assert digest.hexdigest() == want
+
+
+@pytest.mark.parametrize(
+    "kind, n_iters", [("mixture24", 15), ("mixture24", 3), ("mlp8", 15)],
+    ids=["mixture24-full-basis", "mixture24-iterated", "mlp8-full-basis"],
+)
+def test_eigen_feature_takes_eigh_for_one_row_per_timestep(monkeypatch, kind, n_iters):
+    # components read repetition 0's leading vector only, so of the
+    # 5 timesteps x 6 repetitions one row per timestep takes eigh
+    model = random_mixture(24, 3, seed=24) if kind == "mixture24" else MlpDenoiser(8, (16, 16), seed=3)
+    sched = build_schedule("geometric", 0.02, 10.0, 1000)
+    cfg = FeatureConfig(
+        timesteps=(1, 50, 200, 500, 1000), top_k=5, n_reps=6, spectral=SpectralConfig(n_iters=n_iters)
+    )
+    x = np.random.default_rng(model.dim).standard_normal(model.dim)
+    rows = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        rows.append(a.shape[0] if a.ndim == 3 else 1)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    feat = eigen_feature(model, x, sched, cfg, seed=7)
+    assert sum(rows) == 5
+    assert feat.components.shape == (5, model.dim)
 
 
 def test_fit_calibration_oracle():

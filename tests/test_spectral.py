@@ -277,6 +277,52 @@ def test_batch_row_independent_of_batch_mates():
         assert_same_result(res, batch[r])
 
 
+@pytest.mark.parametrize(
+    "kind, d, top_k, n_iters",
+    [
+        ("mixture", 24, 3, 15),
+        ("mixture", 24, 3, 6),
+        ("mlp", 8, 3, 15),
+        ("mlp", 32, 2, 14),
+    ],
+    ids=["mixture-full-basis", "mixture-iterated", "mlp-full-basis", "mlp-iterated"],
+)
+def test_vectors_mask_keeps_values_and_the_asked_rows(kind, d, top_k, n_iters):
+    # three noise levels x four repetitions; the mask decides only which
+    # rows report vectors and a residual, never a row's values.  The
+    # iterated cases stop rows at different sweeps, so under the masks below
+    # a stopping set holds rows that ask and rows that do not
+    model = random_mixture(d, 3, seed=d) if kind == "mixture" else MlpDenoiser(d, (16, 16), seed=3)
+    cfg = SpectralConfig(top_k=top_k, n_iters=n_iters, early_stop_tol=1e-2)
+    x_ts = np.random.default_rng(d).standard_normal((12, d))
+    sigmas = np.repeat([0.3, 0.9, 2.0], 4)
+    rngs = [RngStream(4, (r,)) for r in range(12)]
+    first = np.tile([True, False, False, False], 3)
+    every = subspace_iteration_batch(model, x_ts, sigmas, cfg, rngs)
+    assert full_basis(cfg, d) == (n_iters == 15)
+    if not full_basis(cfg, d):
+        assert len({res.n_iters for res in every}) > 1
+    for mask in (np.ones(12, dtype=bool), np.zeros(12, dtype=bool), first, np.arange(12) % 2 == 0):
+        got = subspace_iteration_batch(model, x_ts, sigmas, cfg, rngs, vectors=mask)
+        for r in range(12):
+            assert np.array_equal(got[r].raw_eigenvalues, every[r].raw_eigenvalues)
+            assert np.array_equal(got[r].eigenvalues, every[r].eigenvalues)
+            assert (got[r].n_iters, got[r].n_evals) == (every[r].n_iters, every[r].n_evals)
+            if mask[r]:
+                assert_same_result(got[r], every[r])
+            else:
+                assert got[r].eigenvectors is None and got[r].residual is None
+
+
+@pytest.mark.parametrize(
+    "vectors", [np.ones(3, dtype=bool), np.ones((2, 2), dtype=bool), np.array([1, 0]), [0, 1]]
+)
+def test_vectors_mask_must_be_a_boolean_row_mask(vectors):
+    g = GaussianMixture.single(np.zeros(2), np.eye(2))
+    with pytest.raises(DimMismatchError, match="boolean mask of 2 rows"):
+        subspace_iteration_batch(g, np.zeros((2, 2)), 1.0, SpectralConfig(), None, vectors=vectors)
+
+
 class MostlyFine:
     """A standard-normal prior whose denoiser collapses near (9, ..., 9)."""
 
