@@ -22,9 +22,11 @@ import numpy as np
 from . import config as cfgmod
 from .errors import (
     AnalyticModelRequiredError,
+    BadRangeError,
     CheckpointFormatError,
     ConfigError,
     EigenscoreError,
+    IndexOutOfRangeError,
     TensorFormatError,
 )
 from .evaluate import auroc
@@ -41,6 +43,7 @@ from .pipeline import (
     fit_calibration,
 )
 from .rng import LANE_DATA, RngStream
+from .schedule import validate_timesteps
 from .tensorio import atomic_write_text, read_tensor, write_tensor
 from .verify import run_all
 
@@ -85,11 +88,14 @@ def _model_desc(model) -> dict:
     return desc
 
 
-def _read_rows(path, what):
-    """The 2-d data tensor at path, as float, with every entry finite."""
+def _read_rows(path, what, dim=None):
+    """The 2-d data tensor at path, as float, with every entry finite and,
+    given a model's dim, rows of that width."""
     xs = read_tensor(path).astype(float)
     if xs.ndim != 2:
         raise TensorFormatError(f"{what} data must be 2-d, got shape {xs.shape}")
+    if dim is not None and xs.shape[1] != dim:
+        raise TensorFormatError(f"{path}: rows of width {xs.shape[1]}, but the model's dim is {dim}")
     bad = np.flatnonzero(~np.isfinite(xs).all(axis=1))
     if bad.size:
         raise TensorFormatError(f"{path}: row {bad[0]} has a non-finite entry")
@@ -143,7 +149,7 @@ def cmd_train(args) -> int:
 def cmd_fit(args) -> int:
     model, schedule, fcfg, seed = _load_inputs(args)
     metric = args.metric
-    xs = _read_rows(args.data, "fit")
+    xs = _read_rows(args.data, "fit", model.dim)
     threads = _thread_count(args)
     feats = extract_features(model, xs, schedule, fcfg, seed, threads=threads, metric=metric)
     calib = fit_calibration(
@@ -173,13 +179,17 @@ def cmd_score(args) -> int:
             f"{calib.aggregation!r} aggregation over timesteps {list(calib.timesteps)} "
             f"with the config's n_reps {fcfg.n_reps}"
         )
+    try:
+        validate_timesteps(schedule, calib.timesteps)
+    except (BadRangeError, IndexOutOfRangeError) as e:
+        raise ConfigError(f"calibration invalid at timesteps for the config's schedule: {e}") from None
     expected_hash = config_hash(_model_desc(model), schedule, fcfg, calib.metric)
     if calib.config_hash and calib.config_hash != expected_hash:
         log.warning(
             "calibration was fit under a different configuration "
             "(hash %s, current %s)", calib.config_hash, expected_hash,
         )
-    xs = _read_rows(args.data, "score")
+    xs = _read_rows(args.data, "score", model.dim)
     threads = _thread_count(args)
     run_cfg = replace(fcfg, timesteps=calib.timesteps, aggregation=calib.aggregation)
     feats = extract_features(model, xs, schedule, run_cfg, seed, threads=threads, metric=calib.metric)

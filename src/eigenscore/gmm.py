@@ -180,12 +180,12 @@ class GaussianMixture:
     # -- per-sigma factors ------------------------------------------------
 
     def _factors(self, sigma: float):
-        """(inv_t, gain, postcov, lognorm) for each component at this sigma.
+        """(inv_t, gain, lognorm) for each component at this sigma.
 
         inv_t   = ((C_i + sigma^2 I)^-1)^T, C-contiguous: the right operand
                   of the stacked GEMM each block of rows makes
-        gain    = C_i (C_i + sigma^2 I)^-1          (posterior-mean gain)
-        postcov = sigma^2 C_i (C_i + sigma^2 I)^-1  (per-component posterior cov)
+        gain    = C_i (C_i + sigma^2 I)^-1; sigma^2 gain is the component's
+                  posterior covariance
         lognorm = log w_i - (d/2) log 2pi - (1/2) log det(C_i + sigma^2 I)
         """
         key = float(sigma)
@@ -201,13 +201,12 @@ class GaussianMixture:
         inv = np.matmul(evecs * (1.0 / lifted)[:, None, :], evecs_t)
         inv_t = np.ascontiguousarray(inv.transpose(0, 2, 1))
         gain = np.matmul(evecs * (self._evals / lifted)[:, None, :], evecs_t)
-        postcov = s2 * gain
         lognorm = (
             np.log(self.weights)
             - 0.5 * self.dim * _LOG_2PI
             - 0.5 * np.sum(np.log(lifted), axis=1)
         )
-        out = (inv_t, gain, postcov, lognorm)
+        out = (inv_t, gain, lognorm)
         if len(self._sigma_cache) >= SIGMA_CACHE_MAX:
             # entries are pure functions of sigma, so emptying the cache
             # changes no output; clear() never iterates the dict that the
@@ -234,7 +233,7 @@ class GaussianMixture:
         later step is row-wise, so a row's bits do not depend on which block
         it falls in.
         """
-        inv_t, _, _, lognorm = self._factors(sigma)
+        inv_t, _, lognorm = self._factors(sigma)
         b, d = x2.shape
         m = self.n_components
         step = self._block_rows
@@ -342,13 +341,14 @@ class GaussianMixture:
         if not single:
             raise DimMismatchError("posterior_cov takes a single point")
         xt = x2[0]
-        _, gain, postcov, _ = self._factors(sigma)
+        _, gain, _ = self._factors(sigma)
+        s2 = float(sigma) * float(sigma)
         r = self.responsibilities(xt, sigma)
         pmeans = self.means + np.einsum("mij,mj->mi", gain, xt - self.means)
         mbar = r @ pmeans
         cov = -np.outer(mbar, mbar)
         for i in range(self.n_components):
-            cov += r[i] * (postcov[i] + np.outer(pmeans[i], pmeans[i]))
+            cov += r[i] * (s2 * gain[i] + np.outer(pmeans[i], pmeans[i]))
         cov = 0.5 * (cov + cov.T)
         return PosteriorStats(mean=mbar, cov=cov)
 

@@ -27,13 +27,7 @@ from .errors import (
 from .rng import LANE_NOISE, LANE_SPECTRAL, RngStream, gaussian_vec
 from .schedule import NoiseSchedule, sigma_at, validate_timesteps
 # subspace_iteration is unused here, but perfbench/spans.py traces it in this namespace
-from .spectral import (
-    SpectralConfig,
-    _as_denoise_fn,
-    full_basis,
-    subspace_iteration,
-    subspace_iteration_batch,
-)
+from .spectral import SpectralConfig, _as_denoise_fn, subspace_iteration, subspace_iteration_batch
 
 log = logging.getLogger(__name__)
 
@@ -216,9 +210,10 @@ def eigen_feature(
     Per (timestep, repetition) the noise draw and the spectral starting
     directions come from streams keyed by (sample_id, t, repetition), so
     the result does not depend on evaluation order; the starting
-    directions' streams are built only when the probe iterates (see
-    `spectral.full_basis`).  All (timestep, repetition) rows run as one
-    `subspace_iteration_batch` call, one probe per row; a row whose
+    directions' streams go to the probe as a generator, so they are built
+    only when it iterates (see `spectral.full_basis`).  All (timestep,
+    repetition) rows run as one `subspace_iteration_batch` call, one probe
+    per row; a row whose
     Jacobian products lose rank reads the eigenvalues of the subspace it
     found, about 0 for the missing ones.  The feature also carries each
     timestep's leading eigenvector from repetition 0
@@ -234,9 +229,7 @@ def eigen_feature(
     # each denoiser call covers one timestep's active rows; every row still
     # follows its own (sample, t, rep)-keyed streams
     x_ts = _noisy_points(x, timesteps, sigmas, reps, seed, sample_id)
-    rngs = None
-    if not full_basis(config.spectral, x.shape[0]):
-        rngs = [RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL)) for t in timesteps for rep in reps]
+    rngs = (RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL)) for t in timesteps for rep in reps)
     # components read only repetition 0's vectors, so only those rows ask for them
     first = np.arange(x_ts.shape[0]) % n_reps == 0
     all_results = subspace_iteration_batch(

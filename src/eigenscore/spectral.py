@@ -36,13 +36,6 @@ from .rng import RngStream, gaussian_vec
 # this are a mistake, not a use case.
 MAX_DENSE_DIM = 4096
 
-# Bytes of eigenvectors one eigh call of the probe may return: the stopped
-# rows that ask for vectors on a full basis hold (rows, d, d) Ritz problems,
-# factored in blocks of rows this size, so the whole eigenvector stack never
-# exists at once.  Rows that ask only for values take eigvalsh, which returns
-# no vectors.
-EIGH_BLOCK_BYTES = 1 << 16
-
 # Where `full_basis` pays.  It costs 2d denoiser evaluations plus dense d x d
 # work (eigh of the Ritz problem and the rotation) that grows as d^3, against
 # 2k(n_iters + 1) evaluations for a row at the cap.  Timed on 1 thread with
@@ -93,12 +86,15 @@ class SpectralResult:
     Ritz values of sym(J)), `eigenvalues` the same clamped at 0, and
     `eigenvectors` (d, k) the matching vectors v_j.  `residual` is
     max_j ||sigma^2 J v_j - lambda_j v_j|| over max_j |lambda_j| (0 for the
-    dense oracles).  `eigenvectors` and `residual` are None for a row that
-    `subspace_iteration_batch`'s `vectors` mask leaves out.  `n_iters` is
-    the re-orthonormalizations performed,
-    `n_evals` the denoiser evaluations, 2k(n_iters + 1) for the subspace
-    iteration (2d with n_iters 0 on the full basis), and `asymmetry`
-    (dense oracle only) max |J - J^T|.
+    dense oracles).  It measures J, not sym(J): where J is not symmetric it
+    includes sigma^2 ||(J - J^T) v_j|| / 2, so even an exact full-basis
+    answer can read far from 0: 0.2 on a skewed linear map, 0.5-1.1 on
+    untrained networks at d = 8 and 32.  `eigenvectors` and `residual` are
+    None for a row that `subspace_iteration_batch`'s `vectors` mask leaves
+    out.  `n_iters` is the re-orthonormalizations performed, `n_evals` the
+    denoiser evaluations, 2k(n_iters + 1) for the subspace iteration (2d
+    with n_iters 0 on the full basis), and `asymmetry` (dense oracle only)
+    max |J - J^T|.
     """
 
     eigenvalues: np.ndarray
@@ -235,7 +231,7 @@ def subspace_iteration_batch(
     x_ts: np.ndarray,
     sigma: float | np.ndarray,
     config: SpectralConfig,
-    rngs: list | None,
+    rngs,
     vectors: np.ndarray | None = None,
 ) -> list:
     """Estimate the top eigenpairs of sigma^2 * dD/dx at every row of x_ts.
@@ -244,8 +240,9 @@ def subspace_iteration_batch(
     row.  This is subspace iteration with Rayleigh-Ritz projection (Saad,
     Numerical Methods for Large Eigenvalue Problems, ch. 5).  With
     k = min(top_k, d), row r starts from the orthonormalized k random
-    directions drawn from rngs[r], or from the d columns of the identity
-    when `full_basis(config, d)` holds: k = d, or d <= 64 and the budget
+    directions drawn from the r-th of the n streams that rngs yields (any
+    iterable), or from the d columns of the identity when
+    `full_basis(config, d)` holds: k = d, or d <= 64 and the budget
     k(n_iters + 1) covers d with a margin that grows past d = 32.  Each
     sweep takes P = J Q, the finite-difference Jacobian product (step
     fd_rel * sigma_r) of the basis Q, and the Ritz values theta of
@@ -268,8 +265,10 @@ def subspace_iteration_batch(
     after one product and its k largest Ritz values are the k largest
     signed eigenvalues of sym(J): every row stops there with n_iters 0 and
     2d evaluations on the points x +- c e_j, fewer than a row at the cap,
-    and draws nothing from rngs (which may be None), makes no QR and takes
-    no early-stop test.
+    and never reads rngs (which may be None), makes no QR and takes no
+    early-stop test.  This engine is the one place that applies
+    `full_basis`: a caller that passes its streams as a generator builds
+    them only when the rows iterate.
 
     The active rows' bases are held as one (rows, d, width) stack, width k
     or d, and each sweep is a fixed set of whole-stack operations: one
@@ -279,14 +278,15 @@ def subspace_iteration_batch(
     one stacked QR (none on the full basis); the early-stop test, with a
     stacked k x k eigvalsh for the rows whose trace of H moved little
     enough that they might stop.  Rows that stop take one stacked eigvalsh,
-    the masked ones among them a stacked eigh as well, and leave the stack.
+    the masked ones among them one stacked eigh as well, and leave the stack.
 
     Contract: a row's result is bit-identical whatever other rows share its
     batch, at whatever noise levels, in whatever order, whichever rows ask
     for vectors, and whatever thread count runs it; its values do not
     depend on whether it asks for vectors itself.  This holds for any
     denoiser whose output for a row does not depend, bit for bit, on the
-    other rows of the call.
+    other rows of the call, and it rests on LAPACK giving each matrix of a
+    stacked eigh or eigvalsh the bits it gets alone.
     `GaussianMixture` is one because its one stacked GEMM keeps operand
     layouts that depend on neither the row count nor the caller's layout
     (see `GaussianMixture._components`), and the engine always calls it with
@@ -315,11 +315,12 @@ def subspace_iteration_batch(
     if config.top_k < 1 or config.n_iters < 1:
         raise BadRangeError("top_k and n_iters must be >= 1")
     full = full_basis(config, d)
-    if rngs is None:
-        if not full:
+    if not full:
+        if rngs is None:
             raise DimMismatchError(f"{n_rows} points draw starting directions, but rngs is None")
-    elif len(rngs) != n_rows:
-        raise DimMismatchError(f"{n_rows} points but {len(rngs)} streams")
+        rngs = list(rngs)
+        if len(rngs) != n_rows:
+            raise DimMismatchError(f"{n_rows} points but {len(rngs)} streams")
     want = np.ones(n_rows, dtype=bool) if vectors is None else np.asarray(vectors)
     if want.dtype != bool or want.shape != (n_rows,):
         raise DimMismatchError(f"vectors must be a boolean mask of {n_rows} rows, got {want.dtype} {want.shape}")
@@ -358,13 +359,10 @@ def subspace_iteration_batch(
             cols, _ = qr_orthonormalize(mat)
         # k columns per denoiser call, as an iterated sweep makes, whatever the width
         products = _jvp_stack(fn, xa, cols, c[act], runs(act), block=k)
-        if full:
-            # Q is the identity, so Q^T P is P: sym(P) without a (rows, d, d) copy
-            h = products + np.swapaxes(products, 1, 2)
-            h *= 0.5
-        else:
-            h = np.matmul(np.swapaxes(cols, 1, 2), products)
-            h = 0.5 * (h + np.swapaxes(h, 1, 2))
+        # H = sym(Q^T P); on the full basis Q is the identity, so Q^T P is P
+        h = products if full else np.matmul(np.swapaxes(cols, 1, 2), products)
+        h = h + np.swapaxes(h, 1, 2)
+        h *= 0.5
         done = np.full(act.size, full or sweep == config.n_iters)
         if prev is not None and tol > 0.0 and sweep < config.n_iters:
             # Ritz values sum to the trace, and the test lets it move by at most
@@ -392,7 +390,9 @@ def subspace_iteration_batch(
             pairs = {}
             if ask.any():
                 sel = slice(None) if ask.all() else ask
-                u = _top_eigh(h[sel], k)
+                # a contiguous copy: a strided u may send the products below
+                # to numpy's own matmul loop, which rounds unlike BLAS
+                u = np.ascontiguousarray(np.linalg.eigh(h[sel])[1][:, :, : -k - 1 : -1])
                 vecs = u if full else np.matmul(cols[sel], u)
                 jv = np.matmul(products[sel], u)
                 sub = ask[done]
@@ -418,18 +418,6 @@ def subspace_iteration_batch(
         mat = products
         prev = h
     return outcome
-
-
-def _top_eigh(h: np.ndarray, k: int) -> np.ndarray:
-    """The eigenvectors (n, m, k) of the k largest eigenvalues, descending, of
-    each symmetric matrix in the (n, m, m) stack h, from eigh on blocks of at
-    most EIGH_BLOCK_BYTES of eigenvectors."""
-    n, m, _ = h.shape
-    u = np.empty((n, m, k))
-    step = max(1, EIGH_BLOCK_BYTES // (8 * m * m))
-    for i in range(0, n, step):
-        u[i : i + step] = np.linalg.eigh(h[i : i + step])[1][:, :, : -k - 1 : -1]
-    return u
 
 
 def subspace_iteration(

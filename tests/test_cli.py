@@ -336,6 +336,57 @@ def test_calibration_layout_checked_against_config_n_reps(cfg_path, tmp_path, ca
     assert not out.exists()
 
 
+def test_calibration_timesteps_checked_against_config_schedule(cfg_path, tmp_path, capsys):
+    # a calibration fitted on a 20-level schedule at t = 15 cannot be scored
+    # under the 12-level one; that is a usage error found before the data is
+    # read, where a missing --data would exit 3
+    long_cfg = make_cfg(
+        tmp_path, name="long.json", schedule={"t_max": 20}, feature={"timesteps": [3, 15]}
+    )
+    _, calib, _ = run_flow(long_cfg, tmp_path)
+    out = tmp_path / "x.csv"
+    missing = str(tmp_path / "none.bin")
+    args = ["score", "--calibration", calib, "--data", missing, "--out", str(out)]
+    assert main(args + ["--config", long_cfg]) == 3
+    capsys.readouterr()
+    assert main(args + ["--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "calibration invalid at timesteps" in err and "t=15 outside [1, 12]" in err
+    assert not out.exists()
+
+
+def _mlp_cfg(tmp_path, data):
+    """A config whose model is a small net trained on data, and its path."""
+    net_cfg = make_cfg(
+        tmp_path, name="mlp.json", train={"steps": 40, "batch_size": 4, "hidden": [4], "seed": 0}
+    )
+    doc = json.loads((tmp_path / "mlp.json").read_text())
+    doc["model"] = {"kind": "mlp", "checkpoint": str(tmp_path / "net.bin")}
+    (tmp_path / "mlp.json").write_text(json.dumps(doc))
+    assert main(["train", "--config", net_cfg, "--data", data, "--out", str(tmp_path / "net.bin")]) == 0
+    return net_cfg
+
+
+@pytest.mark.parametrize("kind", ["gmm", "mlp"])
+def test_data_width_checked_against_model_dim(cfg_path, tmp_path, capsys, kind):
+    # rows of width 3 for a d = 2 model are malformed data (exit 3) naming
+    # the file, not a numerical failure inside the denoiser
+    data = str(tmp_path / "data.bin")
+    assert main(["gen-data", "--config", cfg_path, "--out", data]) == 0
+    cfg = cfg_path if kind == "gmm" else _mlp_cfg(tmp_path, data)
+    calib = str(tmp_path / "calib.json")
+    assert main(["fit", "--config", cfg, "--data", data, "--out", calib]) == 0
+    wide = str(tmp_path / "wide.bin")
+    write_tensor(wide, np.ones((4, 3)))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for extra in ([], ["--calibration", calib]):
+        command = "score" if extra else "fit"
+        assert main([command, "--config", cfg, "--data", wide, "--out", str(out)] + extra) == 3
+        assert "wide.bin: rows of width 3, but the model's dim is 2" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_zero_sigma_calibration_is_accepted(cfg_path, tmp_path):
     # a constant coordinate has sigma 0; SIGMA_FLOOR handles it
     data, calib, _ = run_flow(cfg_path, tmp_path)
@@ -610,15 +661,7 @@ def test_gen_data_needs_analytic_model(cfg_path, tmp_path):
 def test_trained_model_scores(cfg_path, tmp_path):
     data = str(tmp_path / "data.bin")
     assert main(["gen-data", "--config", cfg_path, "--out", data]) == 0
-    net_cfg = make_cfg(
-        tmp_path,
-        name="mlp.json",
-        train={"steps": 40, "batch_size": 4, "hidden": [4], "seed": 0},
-    )
-    doc = json.loads((tmp_path / "mlp.json").read_text())
-    doc["model"] = {"kind": "mlp", "checkpoint": str(tmp_path / "net.bin")}
-    (tmp_path / "mlp.json").write_text(json.dumps(doc))
-    assert main(["train", "--config", net_cfg, "--data", data, "--out", str(tmp_path / "net.bin")]) == 0
+    net_cfg = _mlp_cfg(tmp_path, data)
     calib = str(tmp_path / "mlp_calib.json")
     scores = str(tmp_path / "mlp_scores.csv")
     assert main(["fit", "--config", net_cfg, "--data", data, "--out", calib]) == 0

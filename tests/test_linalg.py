@@ -79,6 +79,24 @@ def test_qr_stack_with_deficient_matrices_matches_per_matrix():
         assert np.array_equal(q[i], q1) and np.array_equal(r[i], r1)
 
 
+def test_stacked_eigh_is_per_matrix():
+    # the spectral engine factors stopped rows' Ritz problems as one stack
+    # (eigvalsh for every row, eigh for the rows that ask for vectors), so a
+    # row's bits must not depend on which stack it sits in or where
+    gen = np.random.default_rng(4)
+    for d in (2, 3, 8, 32, 64):
+        a = gen.standard_normal((9, d, d))
+        stack = 0.5 * (a + np.swapaxes(a, 1, 2))
+        alone = [(np.linalg.eigvalsh(m), np.linalg.eigh(m)) for m in stack]
+        for rows in (slice(None), slice(0, 1), slice(3, 5), slice(4, 9), [8, 2, 5], np.arange(9) % 3 == 1):
+            vals = np.linalg.eigvalsh(stack[rows])
+            w, v = np.linalg.eigh(stack[rows])
+            for i, r in enumerate(np.arange(9)[rows]):
+                want_vals, (want_w, want_v) = alone[r]
+                assert np.array_equal(vals[i], want_vals)
+                assert np.array_equal(w[i], want_w) and np.array_equal(v[i], want_v)
+
+
 def test_qr_wide_matrix_rejected():
     with pytest.raises(DimMismatchError):
         qr_orthonormalize(np.ones((2, 3)))

@@ -323,6 +323,30 @@ def test_vectors_mask_must_be_a_boolean_row_mask(vectors):
         subspace_iteration_batch(g, np.zeros((2, 2)), 1.0, SpectralConfig(), None, vectors=vectors)
 
 
+def test_streams_read_only_when_the_basis_iterates():
+    # the engine alone applies `full_basis`: a full-basis call leaves a
+    # generator of streams unconsumed, and an iterated one takes any
+    # iterable but still needs exactly one stream per row
+    g = GaussianMixture.single(np.zeros(6), np.eye(6))
+    x_ts = np.random.default_rng(5).standard_normal((3, 6))
+    for cfg in (SpectralConfig(top_k=6), SpectralConfig(top_k=2, n_iters=1)):
+        assert full_basis(cfg, 6) == (cfg.top_k == 6)
+        streams = (RngStream(1, (r,)) for r in range(3))
+        got = subspace_iteration_batch(g, x_ts, 0.9, cfg, streams)
+        if full_basis(cfg, 6):
+            assert len(list(streams)) == 3
+        else:
+            assert next(streams, None) is None
+            want = subspace_iteration_batch(g, x_ts, 0.9, cfg, [RngStream(1, (r,)) for r in range(3)])
+            for a, b in zip(got, want):
+                assert_same_result(a, b)
+            for bad, message in ((None, "rngs is None"), ([RngStream(1)] * 2, "3 points but 2 streams")):
+                with pytest.raises(DimMismatchError, match=message):
+                    subspace_iteration_batch(g, x_ts, 0.9, cfg, bad)
+            with pytest.raises(DimMismatchError, match="3 points but 4 streams"):
+                subspace_iteration_batch(g, x_ts, 0.9, cfg, (RngStream(1, (r,)) for r in range(4)))
+
+
 class MostlyFine:
     """A standard-normal prior whose denoiser collapses near (9, ..., 9)."""
 
