@@ -22,11 +22,9 @@ import numpy as np
 from . import config as cfgmod
 from .errors import (
     AnalyticModelRequiredError,
-    BadRangeError,
     CheckpointFormatError,
     ConfigError,
     EigenscoreError,
-    IndexOutOfRangeError,
     TensorFormatError,
 )
 from .evaluate import auroc
@@ -43,7 +41,6 @@ from .pipeline import (
     fit_calibration,
 )
 from .rng import LANE_DATA, RngStream
-from .schedule import validate_timesteps
 from .tensorio import atomic_write_text, read_tensor, write_tensor
 from .verify import run_all
 
@@ -149,6 +146,8 @@ def cmd_train(args) -> int:
 def cmd_fit(args) -> int:
     model, schedule, fcfg, seed = _load_inputs(args)
     metric = args.metric
+    if metric == "score-deriv" and len(fcfg.timesteps) < 2:
+        raise ConfigError(f"config invalid at feature/timesteps: score-deriv needs two or more, got {len(fcfg.timesteps)}")
     xs = _read_rows(args.data, "fit", model.dim)
     threads = _thread_count(args)
     feats = extract_features(model, xs, schedule, fcfg, seed, threads=threads, metric=metric)
@@ -179,10 +178,7 @@ def cmd_score(args) -> int:
             f"{calib.aggregation!r} aggregation over timesteps {list(calib.timesteps)} "
             f"with the config's n_reps {fcfg.n_reps}"
         )
-    try:
-        validate_timesteps(schedule, calib.timesteps)
-    except (BadRangeError, IndexOutOfRangeError) as e:
-        raise ConfigError(f"calibration invalid at timesteps for the config's schedule: {e}") from None
+    cfgmod.checked_timesteps(schedule, calib.timesteps, "calibration", "timesteps")
     expected_hash = config_hash(_model_desc(model), schedule, fcfg, calib.metric)
     if calib.config_hash and calib.config_hash != expected_hash:
         log.warning(

@@ -11,11 +11,11 @@ from jsonschema import Draft202012Validator, ValidationError
 from jsonschema.exceptions import best_match
 from jsonschema.validators import extend
 
-from .errors import ConfigError
+from .errors import BadRangeError, ConfigError, IndexOutOfRangeError
 from .gmm import GaussianMixture
 from .mlp import DEFAULT_HIDDEN, MlpDenoiser, TrainConfig
 from .pipeline import AGGREGATIONS, FeatureConfig
-from .schedule import KINDS, NoiseSchedule, build_schedule, default_timesteps
+from .schedule import KINDS, NoiseSchedule, build_schedule, default_timesteps, validate_timesteps
 from .spectral import SpectralConfig
 
 
@@ -223,9 +223,18 @@ def feature_config_from_config(cfg: dict, schedule: NoiseSchedule) -> FeatureCon
     # dataclass defaults
     f = dict(cfg.get("feature", {}))
     spectral = f.pop("spectral", {})
-    if "timesteps" not in f:
-        f["timesteps"] = default_timesteps(schedule)
+    f.setdefault("timesteps", default_timesteps(schedule))
+    checked_timesteps(schedule, f["timesteps"], "config", "feature/timesteps")
     return FeatureConfig(**f, spectral=SpectralConfig(**spectral))
+
+
+def checked_timesteps(schedule: NoiseSchedule, timesteps, label: str, where: str) -> tuple[int, ...]:
+    """`validate_timesteps`, whose rejection of a document's selection is a
+    ConfigError naming the document and the field."""
+    try:
+        return validate_timesteps(schedule, timesteps)
+    except (BadRangeError, IndexOutOfRangeError) as e:
+        raise ConfigError(f"{label} invalid at {where} for the config's schedule: {e}") from None
 
 
 def train_config_from_config(cfg: dict) -> tuple[TrainConfig, tuple[int, ...]]:

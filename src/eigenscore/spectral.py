@@ -275,10 +275,11 @@ def subspace_iteration_batch(
     denoiser call per run of consecutive rows with equal sigma (so rows
     sharing a noise level are best passed next to each other) and per k
     basis columns, so no call gets more than the run's rows x 2k points;
-    one stacked QR (none on the full basis); the early-stop test, with a
-    stacked k x k eigvalsh for the rows whose trace of H moved little
-    enough that they might stop.  Rows that stop take one stacked eigvalsh,
-    the masked ones among them one stacked eigh as well, and leave the stack.
+    one stacked QR (none on the full basis); one stacked eigvalsh over every
+    active row's H.  sigma_r^2 times a row's top k from it is both what the
+    early stop compares with the sweep before and what the row reports when
+    it stops, and the only state a row carries between sweeps.  Stopped rows
+    in the mask also take one stacked eigh; every stopped row leaves the stack.
 
     Contract: a row's result is bit-identical whatever other rows share its
     batch, at whatever noise levels, in whatever order, whichever rows ask
@@ -350,10 +351,10 @@ def subspace_iteration_batch(
         # row r's column j is drawn from rngs[r].child(j)
         draws = gaussian_vec([rng.child(j) for rng in rngs for j in range(k)], d, 1.0)
         mat = np.ascontiguousarray(draws.reshape(n_rows, k, d).transpose(0, 2, 1))
-    # the active rows are their original indices, points and the matrices
-    # whose QR is the next basis
+    # the active rows are their original indices, points, the matrices whose
+    # QR is the next basis and, as old, their values from the sweep before
     outcome: list = [None] * n_rows
-    act, xa, prev = np.arange(n_rows), x_ts, None
+    act, xa, old = np.arange(n_rows), x_ts, None
     for sweep in range(config.n_iters + 1):
         if not full:
             cols, _ = qr_orthonormalize(mat)
@@ -363,28 +364,20 @@ def subspace_iteration_batch(
         h = products if full else np.matmul(np.swapaxes(cols, 1, 2), products)
         h = h + np.swapaxes(h, 1, 2)
         h *= 0.5
+        # sigma_r^2 times the k largest Ritz values, descending: what a row
+        # reports when it stops, and what the next sweep compares against
+        est = s2[act][:, None] * np.linalg.eigvalsh(h)[:, : -k - 1 : -1]
         done = np.full(act.size, full or sweep == config.n_iters)
-        if prev is not None and tol > 0.0 and sweep < config.n_iters:
-            # Ritz values sum to the trace, and the test lets it move by at most
-            # tol (sqrt(k) |H_prev|_F + 1e-12 k |H|_F): rows beyond twice that, plus
-            # eigvalsh's roundoff, cannot stop and need no eigvalsh
-            f, fp = (np.sqrt(np.add.reduce(a * a, axis=(1, 2))) for a in (h, prev))
-            slack = 2.0 * tol * (np.sqrt(k) * fp + 1e-12 * k * f) + 1e-10 * k * (f + fp)
-            cand = np.flatnonzero(np.abs(np.trace(h - prev, axis1=1, axis2=2)) <= slack)
-            if cand.size:
-                est, old = (s2[act[cand]][:, None] * np.linalg.eigvalsh(a[cand])[:, ::-1] for a in (h, prev))
-                top = np.maximum(np.maximum.reduce(np.abs(est), axis=1), 1e-300)
-                close = np.abs(est - old) <= tol * np.maximum(np.abs(old), 1e-12 * top[:, None])
-                done[cand] = np.logical_and.reduce(close, axis=1)
+        if old is not None and tol > 0.0:
+            top = np.maximum(np.maximum.reduce(np.abs(est), axis=1), 1e-300)
+            close = np.abs(est - old) <= tol * np.maximum(np.abs(old), 1e-12 * top[:, None])
+            done |= np.logical_and.reduce(close, axis=1)
         if done.any():
-            # stopped rows take their k largest Ritz values from eigvalsh; those
-            # that ask for vectors also rotate to the Ritz vectors y = Q u (u on
-            # the full basis, where Q = I), whose J y = P u.  When every row
-            # stops or asks, as on the full basis, views stand in for the
-            # (rows, d, d) copies a mask would make
-            stop = slice(None) if done.all() else done
-            s2r = s2[act[stop]][:, None]
-            raw = s2r * np.linalg.eigvalsh(h[stop])[:, : -k - 1 : -1]
+            # stopped rows that ask for vectors rotate to the Ritz vectors
+            # y = Q u (u on the full basis, where Q = I), whose J y = P u.
+            # When every row asks, views stand in for the (rows, d, d) copies
+            # a mask would make
+            raw = est[done]
             vals = np.clip(raw, 0.0, None)
             ask = done & want[act]
             pairs = {}
@@ -395,10 +388,9 @@ def subspace_iteration_batch(
                 u = np.ascontiguousarray(np.linalg.eigh(h[sel])[1][:, :, : -k - 1 : -1])
                 vecs = u if full else np.matmul(cols[sel], u)
                 jv = np.matmul(products[sel], u)
-                sub = ask[done]
-                raw_a, s2a = raw[sub], s2r[sub]
+                raw_a, s2a = est[ask], s2[act[ask]][:, None, None]
                 top = np.maximum(np.maximum.reduce(np.abs(raw_a), axis=1), 1e-300)
-                resid = np.maximum.reduce(np.linalg.norm(s2a[:, None] * jv - raw_a[:, None, :] * vecs, axis=1), axis=1) / top
+                resid = np.maximum.reduce(np.linalg.norm(s2a * jv - raw_a[:, None, :] * vecs, axis=1), axis=1) / top
                 pairs = dict(zip(act[ask].tolist(), zip(vecs, resid.tolist())))
             for i, r in enumerate(act[done].tolist()):
                 vec, res = pairs.get(r, (None, None))
@@ -412,11 +404,11 @@ def subspace_iteration_batch(
                     n_evals=2 * width * (sweep + 1),
                 )
             keep = ~done
-            act, xa, products, h = act[keep], xa[keep], products[keep], h[keep]
+            act, xa, products, est = act[keep], xa[keep], products[keep], est[keep]
             if act.size == 0:
                 break
         mat = products
-        prev = h
+        old = est
     return outcome
 
 

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from eigenscore import pipeline
 from eigenscore.cli import main
 from eigenscore.gmm import GaussianMixture
 from eigenscore.mlp import CKPT_MAGIC, CKPT_VERSION
@@ -89,9 +90,42 @@ def test_full_flow_score_csv(cfg_path, tmp_path):
     float(first[1])  # parsea
 
 
-@pytest.mark.parametrize("metric", ["eigenscore", "mse", "score-norm", "score-deriv", "nll"])
-def test_score_threads_byte_identical(cfg_path, tmp_path, metric):
+def _iterated_cfg(tmp_path):
+    """A d = 20 mixture at top_k 1: the budget 1 * (15 + 1) = 16 is below d,
+    so the basis iterates, and at early_stop_tol 1e-3 its rows stop at
+    sweeps from 1 to the cap of 15."""
+    d = 20
+    model = {
+        "kind": "gmm",
+        "weights": [0.5, 0.5],
+        "means": [[-1.0] + [0.0] * (d - 1), [1.0] + [0.0] * (d - 1)],
+        "covariances": [np.diag(np.linspace(a, b, d)).tolist() for a, b in ((0.2, 2.0), (1.5, 0.3))],
+    }
+    feature = {"top_k": 1, "spectral": {"early_stop_tol": 1e-3}}
+    return make_cfg(tmp_path, name="iterated.json", model=model, feature=feature)
+
+
+@pytest.mark.parametrize(
+    "metric, iterated",
+    [(m, False) for m in ("eigenscore", "mse", "score-norm", "score-deriv", "nll")] + [("eigenscore", True)],
+    ids=["eigenscore", "mse", "score-norm", "score-deriv", "nll", "eigenscore-iterated"],
+)
+def test_score_threads_byte_identical(cfg_path, tmp_path, monkeypatch, metric, iterated):
+    sweeps = []
+    if iterated:
+        cfg_path = _iterated_cfg(tmp_path)
+        engine = pipeline.subspace_iteration_batch
+
+        def recording(*args, **kwargs):
+            out = engine(*args, **kwargs)
+            sweeps.extend(res.n_iters for res in out)
+            return out
+
+        monkeypatch.setattr(pipeline, "subspace_iteration_batch", recording)
     data, calib, scores = run_flow(cfg_path, tmp_path, metric=metric)
+    if iterated:
+        # the rows stop at different sweeps, some before the cap
+        assert len(set(sweeps)) > 1 and min(sweeps) < 15
     out8 = str(tmp_path / "scores8.csv")
     assert main(
         [
@@ -353,6 +387,34 @@ def test_calibration_timesteps_checked_against_config_schedule(cfg_path, tmp_pat
     err = capsys.readouterr().err
     assert "calibration invalid at timesteps" in err and "t=15 outside [1, 12]" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "timesteps, metric, message",
+    [
+        ([3, 15], None, "t=15 outside [1, 12]"),
+        ([7, 3], None, "timesteps must be strictly increasing"),
+        ([3], "score-deriv", "score-deriv needs two or more, got 1"),
+    ],
+    ids=["beyond-t-max", "decreasing", "score-deriv-one-timestep"],
+)
+def test_feature_timesteps_checked_before_data_is_read(cfg_path, tmp_path, capsys, timesteps, metric, message):
+    # a timestep selection the config alone rules out is a usage error found
+    # before --data is read, where a missing --data would exit 3.  score takes
+    # its timesteps from the calibration, so one timestep is fine there
+    _, calib, _ = run_flow(cfg_path, tmp_path, metric=metric)
+    bad = make_cfg(tmp_path, name="bad.json", feature={"timesteps": timesteps})
+    missing = str(tmp_path / "none.bin")
+    out = tmp_path / "x.out"
+    fit = ["fit", "--data", missing, "--out", str(out)] + (["--metric", metric] if metric else [])
+    score = ["score", "--calibration", calib, "--data", missing, "--out", str(out)]
+    for argv in [fit] if metric else [fit, score]:
+        assert main(argv + ["--config", cfg_path]) == 3
+        capsys.readouterr()
+        assert main(argv + ["--config", bad]) == 2
+        err = capsys.readouterr().err
+        assert "config invalid at feature/timesteps" in err and message in err
+        assert not out.exists()
 
 
 def _mlp_cfg(tmp_path, data):

@@ -864,8 +864,10 @@ def ritz_stop_sweep(fn, x_t, sigma, cfg, rng):
 
 @pytest.mark.parametrize("model, tol", [("mixture", 1e-2), ("mixture", 1e-3), ("mlp", 1e-2), ("mlp", 1e-4)])
 def test_early_stop_matches_eigvalsh_on_every_sweep(model, tol):
-    # the engine skips eigvalsh for rows whose trace of H moved too far to
-    # stop; every row must still stop exactly where the plain rule stops.
+    # the engine solves for all its active rows' Ritz values in one stacked
+    # eigvalsh, whose row count shrinks as rows stop, and compares each row's
+    # values with those of the sweep before; every row must stop exactly
+    # where the rule restated for that row alone stops.
     # d = 32 is past the budget 3 * (9 + 1) = 30, so the basis iterates; at
     # sigma 2 the mixture, and the network through its 8-wide hidden layer,
     # have gaps that let some rows, not all, stop early at each tolerance
@@ -877,6 +879,33 @@ def test_early_stop_matches_eigvalsh_on_every_sweep(model, tol):
     want = [ritz_stop_sweep(net.denoise, x, 2.0, cfg, rng) for x, rng in zip(x_ts, rngs)]
     assert got == want
     assert 0 < sum(n < cfg.n_iters for n in got) < len(got)
+
+
+@pytest.mark.parametrize("d, tol", [(32, 1e-2), (32, 0.0), (12, 1e-2)], ids=["iterated", "no-early-stop", "full-basis"])
+def test_eigvalsh_once_per_active_row_per_sweep(monkeypatch, d, tol):
+    # a stopped row reports the values its early-stop test compared, so each
+    # sweep takes one stacked eigvalsh over the rows still active and no row
+    # is solved twice
+    net = random_mixture(d, 3, seed=5)
+    x_ts = np.random.default_rng(5).standard_normal((24, d))
+    rngs = [RngStream(8, (r,)) for r in range(24)]
+    cfg = SpectralConfig(top_k=3, n_iters=9, early_stop_tol=tol)
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        stacks.append(np.shape(a)[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    out = subspace_iteration_batch(net, x_ts, np.repeat([0.5, 2.0], 12), cfg, rngs)
+    sweeps = [res.n_iters for res in out]
+    assert sum(stacks) == sum(n + 1 for n in sweeps)
+    assert len(stacks) == max(sweeps) + 1
+    if d == 12:
+        assert full_basis(cfg, d) and sweeps == [0] * 24
+    elif tol > 0.0:
+        assert 0 < sum(n < cfg.n_iters for n in sweeps) < 24 and len(set(sweeps)) > 2
 
 
 def test_exact_spectrum_matches_analytic():
