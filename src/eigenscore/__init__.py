@@ -20,7 +20,6 @@ from .pipeline import (
     eigen_score,
     extract_features,
     fit_calibration,
-    tune,
 )
 from .rng import RngStream, gaussian_vec
 from .schedule import NoiseSchedule, build_schedule, default_timesteps, sigma_at
@@ -29,7 +28,6 @@ from .spectral import (
     SpectralResult,
     analytic_spectrum,
     exact_spectrum,
-    jvp,
     subspace_iteration,
 )
 from .verify import VerifyReport, run_all
@@ -54,7 +52,6 @@ __all__ = [
     "subspace_iteration",
     "exact_spectrum",
     "analytic_spectrum",
-    "jvp",
     "MlpDenoiser",
     "TrainConfig",
     "FeatureConfig",
@@ -65,7 +62,6 @@ __all__ = [
     "extract_features",
     "fit_calibration",
     "eigen_score",
-    "tune",
     "RocResult",
     "auroc",
     "VerifyReport",

@@ -221,21 +221,25 @@ def cmd_score(args) -> int:
 
 
 def _read_scores_csv(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2 or header[0] != "id" or header[1] != "score":
-            raise ConfigError(f"{path} is not a score CSV (want 'id,score,...' header)")
-        scores = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                scores.append(float(row[1]))
-            except (IndexError, ValueError):
-                raise ConfigError(
-                    f"{path}, line {reader.line_num}: want 'id,score,...', got {row!r}"
-                ) from None
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not a score CSV: {e}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or len(header) < 2 or header[0] != "id" or header[1] != "score":
+        raise ConfigError(f"{path} is not a score CSV (want 'id,score,...' header)")
+    scores = []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            scores.append(float(row[1]))
+        except (IndexError, ValueError):
+            raise ConfigError(
+                f"{path}, line {reader.line_num}: want 'id,score,...', got {row!r}"
+            ) from None
     return np.array(scores)
 
 

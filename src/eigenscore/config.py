@@ -186,10 +186,14 @@ def _validate(doc, validator, label: str) -> None:
 
 
 def load_config(path: str) -> dict:
+    def no_constant(name):
+        # Python's json reads these literals as floats the schema's numbers admit
+        raise ConfigError(f"config {path} is not valid JSON: {name} is not a number")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as e:
+            doc = json.load(fh, parse_constant=no_constant)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     _validate(doc, _CONFIG_VALIDATOR, f"config {path}")
     return doc
@@ -210,12 +214,15 @@ def model_from_config(cfg: dict):
 
 def schedule_from_config(cfg: dict) -> NoiseSchedule:
     s = cfg.get("schedule", {})
-    return build_schedule(
-        kind=s.get("kind", "geometric"),
-        sigma_min=s.get("sigma_min", 0.02),
-        sigma_max=s.get("sigma_max", 10.0),
-        t_max=s.get("t_max", 1000),
-    )
+    try:
+        return build_schedule(
+            kind=s.get("kind", "geometric"),
+            sigma_min=s.get("sigma_min", 0.02),
+            sigma_max=s.get("sigma_max", 10.0),
+            t_max=s.get("t_max", 1000),
+        )
+    except BadRangeError as e:
+        raise ConfigError(f"config invalid at schedule: {e}") from None
 
 
 def feature_config_from_config(cfg: dict, schedule: NoiseSchedule) -> FeatureConfig:
@@ -247,7 +254,7 @@ def load_calibration_doc(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"calibration {path} is not valid JSON: {e}") from e
     _validate(doc, _CALIBRATION_VALIDATOR, f"calibration {path}")
     return doc

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -28,8 +27,6 @@ from .rng import LANE_NOISE, LANE_SPECTRAL, RngStream, gaussian_vec
 from .schedule import NoiseSchedule, sigma_at, validate_timesteps
 # subspace_iteration is unused here, but perfbench/spans.py traces it in this namespace
 from .spectral import SpectralConfig, _as_denoise_fn, subspace_iteration, subspace_iteration_batch
-
-log = logging.getLogger(__name__)
 
 AGGREGATIONS = ("mean", "median", "all")
 SIGMA_FLOOR = 1e-12
@@ -238,25 +235,20 @@ def eigen_feature(
     vals = np.array([r.eigenvalues for r in all_results])
     raw = np.add.reduce(vals, axis=1).reshape(len(timesteps), n_reps)
     components = np.array([r.eigenvectors[:, 0] for r in all_results[::n_reps]])
-    feature = _aggregate(raw, timesteps, config.aggregation, n_reps, sample_id)
-    return replace(feature, components=components)
+    if config.aggregation == "mean":
+        values = raw.mean(axis=1)
+    elif config.aggregation == "median":
+        values = np.median(raw, axis=1)
+    else:
+        values = raw.reshape(-1)
+    layout = _layout(timesteps, config.aggregation, n_reps)
+    return EigenFeature(sample_id, values, layout, components)
 
 
 def _layout(timesteps, aggregation, n_reps) -> tuple[tuple[int, int], ...]:
     """An eigenscore feature's (timestep, slot) pairs: slots 1..n_reps under all, else 1."""
     slots = n_reps if aggregation == "all" else 1
     return tuple((t, i + 1) for t in timesteps for i in range(slots))
-
-
-def _aggregate(raw, timesteps, aggregation, n_reps, sample_id) -> EigenFeature:
-    if aggregation == "mean":
-        values = raw.mean(axis=1)
-    elif aggregation == "median":
-        values = np.median(raw, axis=1)
-    else:
-        values = raw.reshape(-1)
-    layout = _layout(timesteps, aggregation, n_reps)
-    return EigenFeature(sample_id=sample_id, values=values, layout=layout)
 
 
 def extract_features(
@@ -357,72 +349,6 @@ def eigen_score(feature: EigenFeature, calibration: Calibration) -> ScoreRecord:
         )
     z = (feature.values - calibration.mu) / np.maximum(calibration.sigma, SIGMA_FLOOR)
     return ScoreRecord(sample_id=feature.sample_id, score=float(np.sum(z)), z=z)
-
-
-def reduce_feature(feature: EigenFeature, timesteps, aggregation: str) -> EigenFeature:
-    """Restrict an all-repetitions feature to a timestep subset and aggregate."""
-    if aggregation not in AGGREGATIONS:
-        raise BadRangeError(f"unknown aggregation {aggregation!r}")
-    per_t: dict[int, list[float]] = {}
-    for (t, _), v in zip(feature.layout, feature.values):
-        per_t.setdefault(t, []).append(float(v))
-    missing = [t for t in timesteps if t not in per_t]
-    if missing:
-        raise LayoutMismatchError(f"timesteps {missing} absent from feature layout")
-    n_reps = len(per_t[timesteps[0]])
-    raw = np.array([per_t[t] for t in timesteps])
-    return _aggregate(raw, tuple(timesteps), aggregation, n_reps, feature.sample_id)
-
-
-# -- tuning ---------------------------------------------------------------
-
-
-@dataclass
-class TuneResult:
-    timesteps: tuple[int, ...]
-    aggregation: str
-    auroc: float
-    table: list
-
-
-def contiguous_subsets(timesteps) -> list[tuple[int, ...]]:
-    ts = tuple(timesteps)
-    return [ts[i:j] for i in range(len(ts)) for j in range(i + 1, len(ts) + 1)]
-
-
-def tune(
-    train_features: list[EigenFeature],
-    val_ind_features: list[EigenFeature],
-    val_ood_features,
-) -> TuneResult:
-    """Pick (timesteps, aggregation) maximizing validation AUROC.
-
-    All features must carry every repetition (aggregation "all") over the
-    full timestep list; every contiguous run of those timesteps, under
-    every aggregation, is a candidate, evaluated by reducing them.  Ties
-    prefer fewer timesteps, then mean over median over all.  Without
-    validation out-of-distribution data the configured defaults are
-    returned with a warning.
-    """
-    from .evaluate import auroc  # local import to avoid a cycle
-
-    full_t = tuple(dict.fromkeys(t for t, _ in _common_layout(train_features)))
-    if not val_ood_features:
-        log.warning("no validation out-of-distribution data; keeping default timesteps and mean aggregation")
-        return TuneResult(timesteps=full_t, aggregation="mean", auroc=float("nan"), table=[])
-    agg_rank = {a: i for i, a in enumerate(AGGREGATIONS)}
-    table = []
-    for ts in contiguous_subsets(full_t):
-        for agg in AGGREGATIONS:
-            calib = fit_calibration(
-                [reduce_feature(f, ts, agg) for f in train_features], agg
-            )
-            ind = [eigen_score(reduce_feature(f, ts, agg), calib).score for f in val_ind_features]
-            ood = [eigen_score(reduce_feature(f, ts, agg), calib).score for f in val_ood_features]
-            table.append((auroc(ind, ood).auroc, tuple(ts), agg))
-    table.sort(key=lambda row: (-row[0], len(row[1]), agg_rank[row[2]], row[1]))
-    best = table[0]
-    return TuneResult(timesteps=best[1], aggregation=best[2], auroc=best[0], table=table)
 
 
 # -- baseline scores ------------------------------------------------------

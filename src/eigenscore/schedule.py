@@ -43,9 +43,9 @@ def build_schedule(kind: str, sigma_min: float, sigma_max: float, t_max: int) ->
     """
     if kind not in KINDS:
         raise BadRangeError(f"unknown schedule kind {kind!r}, expected one of {KINDS}")
-    if not (0.0 < sigma_min < sigma_max):
+    if not (0.0 < sigma_min < sigma_max < np.inf):
         raise BadRangeError(
-            f"need 0 < sigma_min < sigma_max, got ({sigma_min}, {sigma_max})"
+            f"need 0 < sigma_min < sigma_max < inf, got ({sigma_min}, {sigma_max})"
         )
     if t_max < 2:
         raise BadRangeError(f"t_max must be >= 2, got {t_max}")

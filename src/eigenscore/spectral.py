@@ -173,27 +173,6 @@ def _check_fd_resolution(c: np.ndarray, x_ts: np.ndarray) -> None:
         )
 
 
-def jvp(denoiser, x_t: np.ndarray, sigma: float, v: np.ndarray, c: float) -> np.ndarray:
-    """Jacobian-vector product of the denoiser at x_t along v.
-
-    Central difference (D(x_t + c v) - D(x_t - c v)) / (2 c); exactly two
-    denoiser evaluations.  A step c below 1e-10 * max |x_t| is a
-    BadRangeError, since x_t +- c v would round to x_t.
-    """
-    x_t = np.asarray(x_t, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x_t.shape != v.shape or x_t.ndim != 1:
-        raise DimMismatchError(f"shapes {x_t.shape} and {v.shape} must be equal 1-d")
-    if not np.any(v != 0.0):
-        raise BadRangeError("direction v must be non-zero")
-    if not sigma > 0.0:
-        raise BadRangeError(f"sigma must be positive, got {sigma}")
-    _check_fd_step(c, sigma)
-    _check_fd_resolution(np.array([c]), x_t[None])
-    fn = _as_denoise_fn(denoiser)
-    return _jvp_stack(fn, x_t[None], v[None, :, None], np.array([c]), [(0, 1, sigma)])[0, :, 0]
-
-
 def _jvp_stack(
     fn, x_ts: np.ndarray, cols: np.ndarray, c: np.ndarray, runs: list, block: int | None = None
 ) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,6 +416,46 @@ def test_feature_timesteps_checked_before_data_is_read(cfg_path, tmp_path, capsy
         err = capsys.readouterr().err
         assert "config invalid at feature/timesteps" in err and message in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, value, message",
+    [
+        ("schedule", {"sigma_min": 5.0, "sigma_max": 1.0}, "config invalid at schedule: need 0 < sigma_min"),
+        ("schedule", {"sigma_max": float("inf")}, "Infinity is not a number"),
+        ("schedule", {"sigma_max": float("nan")}, "NaN is not a number"),
+        ("model", {"means": [[float("nan"), 0.0], [1.0, 0.0]]}, "NaN is not a number"),
+    ],
+    ids=["min-above-max", "infinite-max", "nan-max", "nan-mean"],
+)
+def test_bad_schedule_or_constant_checked_before_data_is_read(cfg_path, tmp_path, capsys, section, value, message):
+    # json.dumps spells inf and nan as the Infinity and NaN literals, which
+    # Python's json would read back as floats the schema admits
+    bad = make_cfg(tmp_path, name="bad.json", **{section: value})
+    missing = str(tmp_path / "none.bin")
+    out = tmp_path / "x.out"
+    for command in ("fit", "train"):
+        argv = [command, "--data", missing, "--out", str(out)]
+        assert main(argv + ["--config", cfg_path]) == 3
+        capsys.readouterr()
+        assert main(argv + ["--config", bad]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["config", "calibration", "scores"])
+def test_non_utf8_file_is_usage_error(cfg_path, tmp_path, capsys, kind):
+    data, calib, scores = run_flow(cfg_path, tmp_path)
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff" + Path({"config": cfg_path, "calibration": calib, "scores": scores}[kind]).read_bytes())
+    argv = {
+        "config": ["gen-data", "--config", str(bad), "--out", str(tmp_path / "d.bin")],
+        "calibration": ["score", "--config", cfg_path, "--calibration", str(bad), "--data", data, "--out", str(tmp_path / "s.csv")],
+        "scores": ["eval", "--ind", str(bad), "--ood", scores],
+    }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "can't decode byte 0xff" in err
 
 
 def _mlp_cfg(tmp_path, data):

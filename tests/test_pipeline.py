@@ -22,17 +22,14 @@ from eigenscore.pipeline import (
     EigenFeature,
     FeatureConfig,
     config_hash,
-    contiguous_subsets,
     eigen_feature,
     eigen_score,
     extract_features,
     fit_calibration,
     mse_score,
     nll_score,
-    reduce_feature,
     score_derivative_norm,
     score_norm,
-    tune,
 )
 from eigenscore.rng import LANE_NOISE, LANE_SPECTRAL, RngStream, gaussian_vec
 from eigenscore.schedule import build_schedule, sigma_at
@@ -503,74 +500,6 @@ def test_training_z_scores_average_to_zero(seed):
     calib = fit_calibration(feats, "mean")
     zbar = np.mean([eigen_score(f, calib).z for f in feats], axis=0)
     assert np.allclose(zbar, 0.0, atol=1e-9)
-
-
-def test_reduce_feature_subsets_and_aggregates():
-    layout = ((2, 1), (2, 2), (5, 1), (5, 2))
-    feat = EigenFeature(7, np.array([1.0, 3.0, 10.0, 20.0]), layout)
-    red = reduce_feature(feat, (5,), "mean")
-    assert red.layout == ((5, 1),)
-    assert red.values[0] == pytest.approx(15.0)
-    assert red.sample_id == 7
-    both = reduce_feature(feat, (2, 5), "median")
-    assert np.allclose(both.values, [2.0, 15.0])
-    kept = reduce_feature(feat, (2,), "all")
-    assert kept.layout == ((2, 1), (2, 2))
-    assert np.allclose(kept.values, [1.0, 3.0])
-
-
-def test_reduce_feature_validates():
-    feat = EigenFeature(0, np.array([1.0, 2.0]), ((2, 1), (2, 2)))
-    with pytest.raises(LayoutMismatchError):
-        reduce_feature(feat, (9,), "mean")
-    with pytest.raises(BadRangeError):
-        reduce_feature(feat, (2,), "mode")
-
-
-def test_contiguous_subsets():
-    assert contiguous_subsets((1, 2, 3)) == [
-        (1,),
-        (1, 2),
-        (1, 2, 3),
-        (2,),
-        (2, 3),
-        (3,),
-    ]
-
-
-def _planted_features(gen, n, shift_t5=0.0, base_id=0):
-    layout = tuple((t, s) for t in (2, 5) for s in (1, 2, 3))
-    out = []
-    for i in range(n):
-        vals = gen.normal(0.0, 1.0, size=6)
-        vals[3:] += shift_t5
-        out.append(EigenFeature(base_id + i, vals, layout))
-    return out
-
-
-def test_tune_finds_planted_timestep():
-    gen = np.random.default_rng(0)
-    train = _planted_features(gen, 20)
-    val_ind = _planted_features(gen, 15, base_id=100)
-    val_ood = _planted_features(gen, 15, shift_t5=50.0, base_id=200)
-    result = tune(train, val_ind, val_ood)
-    # timestep 5 alone separates perfectly; ties prefer fewer timesteps
-    # and mean aggregation
-    assert result.timesteps == (5,)
-    assert result.aggregation == "mean"
-    assert result.auroc == 1.0
-
-
-def test_tune_without_ood_returns_defaults(caplog):
-    gen = np.random.default_rng(1)
-    train = _planted_features(gen, 8)
-    val_ind = _planted_features(gen, 8, base_id=50)
-    with caplog.at_level(logging.WARNING, logger="eigenscore.pipeline"):
-        result = tune(train, val_ind, [])
-    assert result.timesteps == (2, 5)
-    assert result.aggregation == "mean"
-    assert np.isnan(result.auroc)
-    assert any("no validation" in r.message for r in caplog.records)
 
 
 def test_mse_score_matches_manual_recomputation():

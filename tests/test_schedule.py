@@ -58,6 +58,11 @@ def test_build_rejects_bad_args():
         build_schedule("linear", 0.0, 1.0, 10)
     with pytest.raises(BadRangeError):
         build_schedule("linear", 0.1, 1.0, 1)
+    # an infinite sigma_max would give sigmas [sigma_min, inf, ...] or a NaN
+    for kind in ("geometric", "linear"):
+        for lo, hi in ((0.1, np.inf), (0.1, np.nan), (np.nan, 1.0)):
+            with pytest.raises(BadRangeError, match="sigma_max < inf"):
+                build_schedule(kind, lo, hi, 10)
 
 
 def test_validate_timesteps():

@@ -19,7 +19,6 @@ from eigenscore.spectral import (
     analytic_spectrum,
     exact_spectrum,
     full_basis,
-    jvp,
     subspace_iteration,
     subspace_iteration_batch,
 )
@@ -40,34 +39,6 @@ class LinearDenoiser:
         self.rows += pts.shape[0]
         out = pts @ self.a.T + self.b
         return out[0] if np.asarray(x).ndim == 1 else out
-
-
-def test_jvp_exact_on_linear_model():
-    a = np.array([[2.0, 1.0], [0.0, -1.0]])
-    lin = LinearDenoiser(a, b=[0.3, -0.7])
-    v = np.array([1.0, 2.0])
-    out = jvp(lin, np.array([0.5, 0.5]), 1.0, v, c=1e-3)
-    assert np.allclose(out, a @ v, atol=1e-9)
-    assert lin.rows == 2  # exactly two evaluations
-
-
-def test_jvp_validates_inputs():
-    lin = LinearDenoiser(np.eye(2))
-    x = np.zeros(2)
-    with pytest.raises(BadRangeError):
-        jvp(lin, x, 1.0, np.zeros(2), c=1e-3)
-    with pytest.raises(BadRangeError):
-        jvp(lin, x, 0.0, np.ones(2), c=1e-3)
-    with pytest.raises(BadRangeError):
-        jvp(lin, x, 1.0, np.ones(2), c=0.0)
-    with pytest.raises(DimMismatchError):
-        jvp(lin, x, 1.0, np.ones(3), c=1e-3)
-
-
-def test_jvp_warns_on_large_step():
-    lin = LinearDenoiser(np.eye(2))
-    with pytest.warns(UserWarning, match="finite-difference step"):
-        jvp(lin, np.zeros(2), 1.0, np.ones(2), c=0.5)
 
 
 def test_subspace_matches_analytic_diagonal():
@@ -473,13 +444,16 @@ def test_step_below_float_resolution_is_bad_range():
             subspace_iteration_batch(model, x_ts, 1e-3, SpectralConfig(top_k=top_k), rngs)
         with pytest.raises(BadRangeError, match="float resolution"):
             subspace_iteration(model, x_ts[1], 1e-3, SpectralConfig(top_k=top_k), rngs[1])
-    # jvp refuses a step below 1e-10 max|x_t| and takes one at it
+    # at max|x_t| = 1e6 and fd_rel 1e-4 the step at sigma 1 equals the floor
+    # 1e-10 * 1e6 exactly in float64 and is taken; at sigma 0.99 it is
+    # refused.  The full basis (top_k = d) reads no rngs
     lin = LinearDenoiser(np.eye(2))
-    with pytest.raises(BadRangeError, match="float resolution"):
-        jvp(lin, np.array([1e12, 1.0]), 1e-3, np.ones(2), c=1e-6)
-    with pytest.raises(BadRangeError):
-        jvp(lin, np.array([-1e6, 0.0]), 1.0, np.ones(2), c=0.99e-4)
-    np.testing.assert_allclose(jvp(lin, np.array([-1e6, 0.0]), 1.0, np.ones(2), c=1e-4), 1.0, rtol=1e-5)
+    x_t = np.array([[-1e6, 0.0]])
+    cfg = SpectralConfig(top_k=2, fd_rel=1e-4)
+    with pytest.raises(BadRangeError, match="row 0: finite-difference step"):
+        subspace_iteration_batch(lin, x_t, 0.99, cfg, None)
+    (res,) = subspace_iteration_batch(lin, x_t, 1.0, cfg, None)
+    np.testing.assert_allclose(res.raw_eigenvalues, 1.0, rtol=1e-5)
 
 
 class Recording:
@@ -556,6 +530,10 @@ def test_batch_sigma_checked_per_row():
     for bad in ([1.0, 0.0, 2.0], [1.0, 2.0, -0.5], [np.nan, 1.0, 1.0]):
         with pytest.raises(BadRangeError, match="sigma must be positive"):
             subspace_iteration_batch(g, x_ts, bad, cfg, rngs)
+    # so must the finite-difference step fd_rel * sigma
+    for fd_rel in (0.0, -1e-3):
+        with pytest.raises(BadRangeError, match="finite-difference step must be positive"):
+            subspace_iteration_batch(g, x_ts, 1.0, SpectralConfig(top_k=1, n_iters=2, fd_rel=fd_rel), rngs)
 
 
 def test_large_step_warns_once_per_sigma():
@@ -958,10 +936,9 @@ def test_analytic_spectrum_values():
     "op",
     [
         lambda f, g, x: analytic_spectrum(g, x, np.nan),
-        lambda f, g, x: jvp(f, x, np.nan, np.ones(2), 1e-3),
         lambda f, g, x: exact_spectrum(f, x, np.nan),
     ],
-    ids=["analytic_spectrum", "jvp", "exact_spectrum"],
+    ids=["analytic_spectrum", "exact_spectrum"],
 )
 def test_nan_sigma_is_bad_range(op):
     # a NaN sigma passed `sigma <= 0` and surfaced later as a misleading
