@@ -23,7 +23,7 @@ from .errors import (
     TooFewSamplesError,
     TooFewTimestepsError,
 )
-from .rng import LANE_NOISE, LANE_SPECTRAL, RngStream, gaussian_vec
+from .rng import LANE_NOISE, LANE_SPECTRAL, RngStream, StreamBlock, gaussian_vec
 from .schedule import NoiseSchedule, sigma_at, validate_timesteps
 # subspace_iteration is unused here, but perfbench/spans.py traces it in this namespace
 from .spectral import SpectralConfig, _as_denoise_fn, subspace_iteration, subspace_iteration_batch
@@ -187,11 +187,17 @@ def config_hash(model_desc, schedule: NoiseSchedule, config: FeatureConfig, metr
 # -- feature extraction ---------------------------------------------------
 
 
-def _noisy_points(x, timesteps, sigmas, reps, seed, sample_id):
-    """x + sigma_t z for each timestep t (noise level sigma_t) and each
-    repetition in reps, timestep-major; z from its (sample, t, rep, LANE_NOISE) stream."""
-    rngs = [RngStream(seed, (sample_id, t, rep, LANE_NOISE)) for t in timesteps for rep in reps]
-    return x[None, :] + gaussian_vec(rngs, x.shape[0], np.repeat(sigmas, len(reps)))
+def _noise(seed, sample_id, timesteps, n_reps, dim, std) -> np.ndarray:
+    """N(0, std^2 I) draws from the (sample_id, t, rep, LANE_NOISE) streams, timestep-major."""
+    ids = np.full((len(timesteps), n_reps, 4), (sample_id, 0, 0, LANE_NOISE))
+    ids[..., 1], ids[..., 2] = np.reshape(timesteps, (-1, 1)), np.arange(n_reps)
+    return gaussian_vec(StreamBlock(seed, ids.reshape(-1, 4)), dim, std)
+
+
+def _noisy_points(x, timesteps, sigmas, n_reps, seed, sample_id):
+    """x + sigma_t z for each timestep t (noise level sigma_t) and each of
+    n_reps repetitions, timestep-major; z from its (sample, t, rep, LANE_NOISE) stream."""
+    return x[None, :] + _noise(seed, sample_id, timesteps, n_reps, x.shape[0], np.repeat(sigmas, n_reps))
 
 
 def eigen_feature(
@@ -220,13 +226,12 @@ def eigen_feature(
     x = np.asarray(x, dtype=float)
     timesteps = validate_timesteps(schedule, config.timesteps)
     n_reps = config.n_reps
-    reps = range(n_reps)
     sigmas = [sigma_at(schedule, t) for t in timesteps]
     # every (timestep, repetition) row shares one probe, timestep-major, so
     # each denoiser call covers one timestep's active rows; every row still
     # follows its own (sample, t, rep)-keyed streams
-    x_ts = _noisy_points(x, timesteps, sigmas, reps, seed, sample_id)
-    rngs = (RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL)) for t in timesteps for rep in reps)
+    x_ts = _noisy_points(x, timesteps, sigmas, n_reps, seed, sample_id)
+    rngs = (RngStream(seed, (sample_id, t, rep, LANE_SPECTRAL)) for t in timesteps for rep in range(n_reps))
     # components read only repetition 0's vectors, so only those rows ask for them
     first = np.arange(x_ts.shape[0]) % n_reps == 0
     all_results = subspace_iteration_batch(
@@ -368,7 +373,7 @@ def _denoised_reps(denoiser, x, schedule, timesteps, n_reps, seed, sample_id):
     fn = _as_denoise_fn(denoiser)
     ts = validate_timesteps(schedule, timesteps)
     sigmas = [sigma_at(schedule, t) for t in ts]
-    all_pts = _noisy_points(x, ts, sigmas, range(n_reps), seed, sample_id)
+    all_pts = _noisy_points(x, ts, sigmas, n_reps, seed, sample_id)
     for i, sigma in enumerate(sigmas):
         pts = all_pts[i * n_reps : (i + 1) * n_reps]
         yield sigma, pts, fn(pts, sigma)
@@ -407,9 +412,7 @@ def score_derivative_norm(denoiser, x, schedule, timesteps, n_reps, seed, sample
     fn = _as_denoise_fn(denoiser)
     d = x.shape[0]
     eps = np.empty((len(ts), n_reps, d))
-    zs = gaussian_vec(
-        [RngStream(seed, (sample_id, _PATH_LANE, i, LANE_NOISE)) for i in range(n_reps)], d, 1.0
-    )
+    zs = _noise(seed, sample_id, (_PATH_LANE,), n_reps, d, 1.0)
     for ti, t in enumerate(ts):
         sigma = sigma_at(schedule, t)
         pts = x[None, :] + sigma * zs

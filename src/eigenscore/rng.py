@@ -22,7 +22,9 @@ generators):
   seed's pool is computed once and cached, and `_philox_keys` mixes in
   the remaining words in wrapping uint32 numpy arithmetic over all the
   streams of a call, one group per (seed, word count), with the
-  multipliers precomputed.
+  multipliers precomputed.  A `StreamBlock`, n streams of one seed named
+  by an (n, T) integer array, skips the grouping when the seed is below
+  2**128 and every id fits 32 bits: its rows are the tails, hashed at once.
 - Draws.  Each thread keeps one Generator(Philox).  A draw sets its state
   to (key, counter 0, empty buffer) and calls standard_normal(dim), which
   is what a fresh generator of that stream returns.
@@ -78,6 +80,20 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
+
+
+class StreamBlock:
+    """The n streams (seed, ids[i]) of one seed: ids is an (n, T) array of integers >= 0."""
+
+    def __init__(self, seed: int, ids):
+        self.seed, self.ids = int(seed), np.asarray(ids)
+        if self.ids.ndim != 2 or self.ids.dtype.kind not in "iu" or min(self.seed, self.ids.min(initial=0)) < 0:
+            raise BadRangeError(f"a block needs seed >= 0 and 2-d integer ids >= 0, got {self.ids.dtype} ids")
+
+    def keys(self) -> np.ndarray:
+        if self.seed >> 128 == 0 and self.ids.max(initial=0) <= _MASK32:
+            return _hash_tails(self.seed, self.ids.astype(np.uint32))
+        return _philox_keys([(self.seed, row) for row in self.ids.tolist()])
 
 
 # -- keys: numpy's SeedSequence hash, vectorized over streams -------------
@@ -150,12 +166,12 @@ def _seed_pool(seed: int) -> np.ndarray:
     return pool
 
 
-def _tail(rng: RngStream) -> tuple[int, ...]:
+def _tail(seed: int, stream) -> tuple[int, ...]:
     """The entropy words after the pool's first four: the seed's beyond
     2**128, then each stream component's."""
-    if rng.seed >> 128 == 0 and max(rng.stream, default=0) <= _MASK32:
-        return rng.stream
-    return tuple(_words(rng.seed)[_POOL:] + [w for s in rng.stream for w in _words(s)])
+    if seed >> 128 == 0 and max(stream, default=0) <= _MASK32:
+        return stream
+    return tuple(_words(seed)[_POOL:] + [w for s in stream for w in _words(s)])
 
 
 def _hash_tails(seed: int, tails: np.ndarray) -> np.ndarray:
@@ -170,15 +186,15 @@ def _hash_tails(seed: int, tails: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _philox_keys(rngs: list) -> np.ndarray:
-    """`SeedSequence(seed, spawn_key=stream).generate_state(2, uint64)` of each stream."""
+def _philox_keys(streams: list) -> np.ndarray:
+    """`SeedSequence(seed, spawn_key=stream).generate_state(2, uint64)` of each (seed, stream)."""
     groups: dict[tuple[int, int], tuple[list, list]] = {}
-    for i, r in enumerate(rngs):
-        tail = _tail(r)
-        rows, tails = groups.setdefault((r.seed, len(tail)), ([], []))
+    for i, (seed, stream) in enumerate(streams):
+        tail = _tail(seed, stream)
+        rows, tails = groups.setdefault((seed, len(tail)), ([], []))
         rows.append(i)
         tails.append(tail)
-    keys = np.empty((len(rngs), 2), dtype=np.uint64)
+    keys = np.empty((len(streams), 2), dtype=np.uint64)
     for (seed, n_tail), (rows, tails) in groups.items():
         tails = np.array(tails, dtype=np.uint32).reshape(len(rows), n_tail)
         keys[rows] = _hash_tails(seed, tails)
@@ -217,25 +233,26 @@ def _normals_into(keys: np.ndarray, out: np.ndarray) -> None:
 def gaussian_vec(rng, dim: int, std) -> np.ndarray:
     """N(0, std^2 I) vectors of length `dim`, one per stream.
 
-    rng is one RngStream, giving a (dim,) vector, or a sequence of n of
-    them, giving (n, dim) rows; std is one value or one per stream.  A row
-    is `std * rng.generator().standard_normal(dim)` bit for bit: the draw
-    restarts the stream, so the same stream always returns the same
-    vector.  std = 0 gives +0.0 zeros.
+    rng is one RngStream, giving a (dim,) vector, or a sequence or a
+    StreamBlock of n streams, giving (n, dim) rows; std is one value or one
+    per stream.  A row is `std * rng.generator().standard_normal(dim)` bit
+    for bit: the draw restarts the stream, so the same stream always
+    returns the same vector.  std = 0 gives +0.0 zeros.
     """
     if dim < 1:
         raise BadRangeError(f"dim must be >= 1, got {dim}")
     one = isinstance(rng, RngStream)
-    rngs = [rng] if one else list(rng)
+    streams = [rng] if one else rng
+    keys = rng.keys() if isinstance(rng, StreamBlock) else _philox_keys([(r.seed, r.stream) for r in streams])
     std = np.asarray(std, dtype=float)
     if std.ndim:
-        if std.shape != (len(rngs),):
-            raise DimMismatchError(f"{len(rngs)} streams but std of shape {std.shape}")
+        if std.shape != (len(keys),):
+            raise DimMismatchError(f"{len(keys)} streams but std of shape {std.shape}")
         std = std[:, None]
     if np.any(std < 0):
         raise BadRangeError(f"std must be >= 0, got {std[std < 0][0]}")
-    out = np.empty((len(rngs), dim))
-    _normals_into(_philox_keys(rngs), out)
+    out = np.empty((len(keys), dim))
+    _normals_into(keys, out)
     out *= std
     out[np.broadcast_to(std == 0.0, out.shape)] = 0.0
     return out[0] if one else out

@@ -50,10 +50,13 @@ def build_schedule(kind: str, sigma_min: float, sigma_max: float, t_max: int) ->
     if t_max < 2:
         raise BadRangeError(f"t_max must be >= 2, got {t_max}")
     t = np.arange(t_max, dtype=float)
-    if kind == "geometric":
-        sigmas = sigma_min * (sigma_max / sigma_min) ** (t / (t_max - 1))
-    else:
-        sigmas = sigma_min + t * (sigma_max - sigma_min) / (t_max - 1)
+    with np.errstate(over="ignore"):
+        if kind == "geometric":
+            sigmas = sigma_min * (sigma_max / sigma_min) ** (t / (t_max - 1))
+        else:
+            sigmas = sigma_min + t * (sigma_max - sigma_min) / (t_max - 1)
+    if not np.isfinite(sigmas).all():
+        raise BadRangeError(f"sigmas from {sigma_min} to {sigma_max} overflow float64")
     sigmas.setflags(write=False)
     return NoiseSchedule(kind, float(sigma_min), float(sigma_max), int(t_max), sigmas)
 

@@ -78,7 +78,7 @@ class SpectralConfig:
     early_stop_tol: float = 1e-4
 
 
-@dataclass
+@dataclass(slots=True)
 class SpectralResult:
     """Eigenvalue estimates of sigma^2 * (denoiser Jacobian) at one point.
 
@@ -255,10 +255,11 @@ def subspace_iteration_batch(
     sharing a noise level are best passed next to each other) and per k
     basis columns, so no call gets more than the run's rows x 2k points;
     one stacked QR (none on the full basis); one stacked eigvalsh over every
-    active row's H.  sigma_r^2 times a row's top k from it is both what the
-    early stop compares with the sweep before and what the row reports when
-    it stops, and the only state a row carries between sweeps.  Stopped rows
-    in the mask also take one stacked eigh; every stopped row leaves the stack.
+    active row's H (at early_stop_tol 0, on the last sweep only).  sigma_r^2
+    times a row's top k from it is what the early stop compares with the
+    sweep before, what the row reports when it stops, and the only state a
+    row carries between sweeps.  Stopped rows in the mask also take one
+    stacked eigh; every stopped row leaves the stack.
 
     Contract: a row's result is bit-identical whatever other rows share its
     batch, at whatever noise levels, in whatever order, whichever rows ask
@@ -339,6 +340,10 @@ def subspace_iteration_batch(
             cols, _ = qr_orthonormalize(mat)
         # k columns per denoiser call, as an iterated sweep makes, whatever the width
         products = _jvp_stack(fn, xa, cols, c[act], runs(act), block=k)
+        last = full or sweep == config.n_iters
+        if not (last or tol > 0.0):  # with no early stop only the last sweep's values are read
+            mat = products
+            continue
         # H = sym(Q^T P); on the full basis Q is the identity, so Q^T P is P
         h = products if full else np.matmul(np.swapaxes(cols, 1, 2), products)
         h = h + np.swapaxes(h, 1, 2)
@@ -346,8 +351,8 @@ def subspace_iteration_batch(
         # sigma_r^2 times the k largest Ritz values, descending: what a row
         # reports when it stops, and what the next sweep compares against
         est = s2[act][:, None] * np.linalg.eigvalsh(h)[:, : -k - 1 : -1]
-        done = np.full(act.size, full or sweep == config.n_iters)
-        if old is not None and tol > 0.0:
+        done = np.full(act.size, last)
+        if old is not None:
             top = np.maximum(np.maximum.reduce(np.abs(est), axis=1), 1e-300)
             close = np.abs(est - old) <= tol * np.maximum(np.abs(old), 1e-12 * top[:, None])
             done |= np.logical_and.reduce(close, axis=1)
@@ -371,17 +376,9 @@ def subspace_iteration_batch(
                 top = np.maximum(np.maximum.reduce(np.abs(raw_a), axis=1), 1e-300)
                 resid = np.maximum.reduce(np.linalg.norm(s2a * jv - raw_a[:, None, :] * vecs, axis=1), axis=1) / top
                 pairs = dict(zip(act[ask].tolist(), zip(vecs, resid.tolist())))
-            for i, r in enumerate(act[done].tolist()):
+            for r, v, rv in zip(act[done].tolist(), vals, raw):
                 vec, res = pairs.get(r, (None, None))
-                outcome[r] = SpectralResult(
-                    eigenvalues=vals[i],
-                    raw_eigenvalues=raw[i],
-                    eigenvectors=vec,
-                    sigma=levels[r],
-                    residual=res,
-                    n_iters=sweep,
-                    n_evals=2 * width * (sweep + 1),
-                )
+                outcome[r] = SpectralResult(v, rv, vec, levels[r], res, sweep, 2 * width * (sweep + 1))
             keep = ~done
             act, xa, products, est = act[keep], xa[keep], products[keep], est[keep]
             if act.size == 0:

@@ -424,9 +424,11 @@ def test_feature_timesteps_checked_before_data_is_read(cfg_path, tmp_path, capsy
         ("schedule", {"sigma_min": 5.0, "sigma_max": 1.0}, "config invalid at schedule: need 0 < sigma_min"),
         ("schedule", {"sigma_max": float("inf")}, "Infinity is not a number"),
         ("schedule", {"sigma_max": float("nan")}, "NaN is not a number"),
+        ("schedule", {"kind": "geometric", "sigma_min": 1e-10, "sigma_max": 1e300}, "overflow float64"),
+        ("schedule", {"kind": "linear", "sigma_min": 1e-10, "sigma_max": 1.7e308}, "overflow float64"),
         ("model", {"means": [[float("nan"), 0.0], [1.0, 0.0]]}, "NaN is not a number"),
     ],
-    ids=["min-above-max", "infinite-max", "nan-max", "nan-mean"],
+    ids=["min-above-max", "infinite-max", "nan-max", "geometric-overflow", "linear-overflow", "nan-mean"],
 )
 def test_bad_schedule_or_constant_checked_before_data_is_read(cfg_path, tmp_path, capsys, section, value, message):
     # json.dumps spells inf and nan as the Infinity and NaN literals, which

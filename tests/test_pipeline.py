@@ -218,6 +218,29 @@ def test_spectral_streams_built_only_when_the_probe_draws(monkeypatch):
         assert sum(len(s) == 4 and s[3] == LANE_SPECTRAL for s in built) == want
 
 
+def test_noise_draws_build_no_stream_objects(monkeypatch):
+    # every metric keys its (sample, t, rep, LANE_NOISE) noise streams from
+    # one id array per sample, so no RngStream is built for them
+    built = []
+    original = RngStream.__init__
+
+    def recording(self, seed, stream=()):
+        original(self, seed, stream)
+        built.append(self.stream)
+
+    monkeypatch.setattr(RngStream, "__init__", recording)
+    sched, cfg = small_schedule(), FeatureConfig(timesteps=(3, 7), top_k=1, n_reps=3)
+    for d in (2, ITERATED_DIM):
+        model = small_model(d)
+        xs = model.sample(RngStream(0, (0,)), 2)
+        assert built  # the guard sees a stream when one is built
+        built.clear()
+        eigen_feature(model, xs[0], sched, cfg, seed=0, sample_id=4)
+        for metric in ("eigenscore", "mse", "score-norm", "score-deriv"):
+            extract_features(model, xs, sched, cfg, seed=0, metric=metric)
+        assert not [s for s in built if len(s) == 4 and s[3] == LANE_NOISE]
+
+
 def rep0_component(model, x, sched, t, seed, sid, top_k=2):
     """The leading eigenvector of repetition 0, probed on its own."""
     sigma = sigma_at(sched, t)

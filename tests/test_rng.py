@@ -14,6 +14,7 @@ from eigenscore.rng import (
     LANE_NOISE,
     LANE_SPECTRAL,
     RngStream,
+    StreamBlock,
     gaussian_vec,
 )
 from eigenscore.schedule import build_schedule
@@ -144,7 +145,7 @@ def test_keyed_draws_match_generator_bytes(seed, other_seed, four, five, extra, 
         RngStream(other_seed, ()),
         *(RngStream(seed, ids) for ids in extra),
     ]
-    keys = rng._philox_keys(streams)
+    keys = rng._philox_keys([(s.seed, s.stream) for s in streams])
     for s, key in zip(streams, keys):
         want = np.random.SeedSequence(s.seed, spawn_key=s.stream).generate_state(2, np.uint64)
         assert key.tobytes() == want.tobytes()
@@ -157,12 +158,60 @@ def test_keyed_draws_match_generator_bytes(seed, other_seed, four, five, extra, 
         assert gaussian_vec(s, dim, sd).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize(
+    "seed, ids, hashed",
+    [
+        (7, [[3, 0, 2**32 - 1, 0], [0, 9, 1, 0], [2**32 - 1, 2**32 - 1, 0, 5]], [(3, 4)]),
+        (7, [[3, 0, 2**32, 0], [0, 9, 1, 0], [2**40, 1, 0, 5]], [(2, 5), (1, 4)]),
+        (2**128, [[3, 0, 1, 0], [0, 9, 1, 0]], [(2, 5)]),
+        (0, np.zeros((3, 0), dtype=np.int64), [(3, 0)]),
+    ],
+    ids=["max-32-bit-id", "wide-ids", "wide-seed", "empty-ids"],
+)
+def test_block_draws_match_stream_generators(monkeypatch, seed, ids, hashed):
+    # a block hashes its whole id array at once when every word fits 32 bits
+    # and otherwise groups its streams by tail length, so `hashed` lists the
+    # (streams, words) of each hash; both give each row its stream's bytes
+    shapes = []
+    hash_tails = rng._hash_tails
+
+    def recording(seed, tails):
+        shapes.append(tails.shape)
+        return hash_tails(seed, tails)
+
+    monkeypatch.setattr(rng, "_hash_tails", recording)
+    ids = np.asarray(ids, dtype=np.int64)
+    streams = [RngStream(seed, tuple(row)) for row in ids.tolist()]
+    for std in (1.0, [0.5, 0.0, 2.5][: len(ids)]):
+        shapes.clear()
+        rows = gaussian_vec(StreamBlock(seed, ids), 9, std)
+        assert shapes == hashed
+        for s, sd, row in zip(streams, np.broadcast_to(std, len(ids)), rows):
+            # std 0 gives +0.0 zeros, never the -0.0 of 0.0 * a negative draw
+            want = np.zeros(9) if sd == 0.0 else sd * s.generator().standard_normal(9)
+            assert row.tobytes() == want.tobytes()
+    assert gaussian_vec(StreamBlock(seed, ids[:0]), 9, 1.0).shape == (0, 9)
+
+
+def test_block_rejects_bad_inputs():
+    ids = np.array([[0, 1], [2, 3]])
+    for seed, bad in ((0, [[0, -1]]), (-1, ids), (0, [0, 1]), (0, [[0.0, 1.0]])):
+        with pytest.raises(BadRangeError):
+            StreamBlock(seed, bad)
+    with pytest.raises(DimMismatchError):
+        gaussian_vec(StreamBlock(0, ids), 4, [1.0, 2.0, 3.0])
+    with pytest.raises(BadRangeError):
+        gaussian_vec(StreamBlock(0, ids), 4, [1.0, -1.0])
+
+
 def test_threads_interleaving_draws_match_a_serial_run():
     # numpy fills a long draw with the GIL released, so another thread runs
-    # while a generator is mid-draw: a shared one would be re-keyed under it
+    # while a generator is mid-draw: a shared one would be re-keyed under it.
+    # Every other call draws its streams as one block
     n_threads = 3
-    calls = [[RngStream(c % 2, (c, j, 2)) for j in range(5)] for c in range(60)]
-    serial = [gaussian_vec(c, 2048, 1.5).tobytes() for c in calls]
+    lists = [[RngStream(c % 2, (c, j, 2)) for j in range(5)] for c in range(60)]
+    serial = [gaussian_vec(c, 2048, 1.5).tobytes() for c in lists]
+    calls = [StreamBlock(c % 2, [s.stream for s in lists[c]]) if c % 2 else lists[c] for c in range(60)]
     got = [None] * len(calls)
     gens = [None] * n_threads
     barrier = threading.Barrier(n_threads, timeout=60)

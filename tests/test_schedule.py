@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,12 @@ def test_build_rejects_bad_args():
         for lo, hi in ((0.1, np.inf), (0.1, np.nan), (np.nan, 1.0)):
             with pytest.raises(BadRangeError, match="sigma_max < inf"):
                 build_schedule(kind, lo, hi, 10)
+    # finite bounds whose sigmas overflow float64, with no RuntimeWarning
+    for kind, hi in (("geometric", 1e300), ("linear", 1.7e308)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadRangeError, match="overflow float64"):
+                build_schedule(kind, 1e-10, hi, 5)
 
 
 def test_validate_timesteps():

@@ -863,7 +863,7 @@ def test_early_stop_matches_eigvalsh_on_every_sweep(model, tol):
 def test_eigvalsh_once_per_active_row_per_sweep(monkeypatch, d, tol):
     # a stopped row reports the values its early-stop test compared, so each
     # sweep takes one stacked eigvalsh over the rows still active and no row
-    # is solved twice
+    # is solved twice; with no early stop only the last sweep is solved
     net = random_mixture(d, 3, seed=5)
     x_ts = np.random.default_rng(5).standard_normal((24, d))
     rngs = [RngStream(8, (r,)) for r in range(24)]
@@ -878,11 +878,14 @@ def test_eigvalsh_once_per_active_row_per_sweep(monkeypatch, d, tol):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     out = subspace_iteration_batch(net, x_ts, np.repeat([0.5, 2.0], 12), cfg, rngs)
     sweeps = [res.n_iters for res in out]
+    if tol == 0.0:
+        assert stacks == [24] and sweeps == [cfg.n_iters] * 24
+        return
     assert sum(stacks) == sum(n + 1 for n in sweeps)
     assert len(stacks) == max(sweeps) + 1
     if d == 12:
         assert full_basis(cfg, d) and sweeps == [0] * 24
-    elif tol > 0.0:
+    else:
         assert 0 < sum(n < cfg.n_iters for n in sweeps) < 24 and len(set(sweeps)) > 2
 
 
